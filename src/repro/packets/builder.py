@@ -55,22 +55,6 @@ class FrameSpec:
     stack: List[object]
     target_size: Optional[int] = None
 
-    def header_overhead(self) -> int:
-        """Total bytes of all non-payload headers in the stack."""
-        total = 0
-        for header in self.stack:
-            if isinstance(header, Payload):
-                continue
-            if isinstance(header, hdr.SSHBanner):
-                total += len(header.pack())
-            elif isinstance(header, hdr.HTTPPayload):
-                total += len(header.pack())
-            elif isinstance(header, hdr.DNSHeader):
-                total += len(header.pack())
-            else:
-                total += header.header_len
-        return total
-
 
 class FrameBuilder:
     """Builds wire-format frames from :class:`FrameSpec` descriptions."""

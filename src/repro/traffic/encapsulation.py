@@ -37,7 +37,7 @@ class EncapKind(Enum):
             EncapKind.PLAIN: 0,
             EncapKind.VLAN: 4,
             EncapKind.VLAN_MPLS: 8,
-            EncapKind.VLAN_MPLS_PW: 34,  # VLAN4 + MPLS4*2 + PW4 + inner Eth 14 + outer/inner diff
+            EncapKind.VLAN_MPLS_PW: 30,  # VLAN 4 + MPLS 4 x 2 + PW 4 + inner Ethernet 14
         }[self]
 
     @property

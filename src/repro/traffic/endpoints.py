@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.packets.headers import mac_bytes
+from repro.packets.headers import ipv4_bytes, ipv6_bytes, mac_bytes
 from repro.testbed.federation import Federation
 from repro.testbed.nic import NicPort, SharedNIC
 
@@ -27,6 +27,13 @@ class TrafficEndpoint:
     ipv4: str
     ipv6: str
     slice_name: str = ""
+
+    def __post_init__(self) -> None:
+        # Wire forms of the addresses, stamped into every frame of the
+        # endpoint's flows.
+        self.wire_mac = mac_bytes(self.mac)
+        self.wire_ipv4 = ipv4_bytes(self.ipv4)
+        self.wire_ipv6 = ipv6_bytes(self.ipv6)
 
     def send(self, frame) -> bool:
         """Offer a frame to the testbed through this endpoint's port."""

@@ -8,16 +8,21 @@ frames consist of payload-free ACKs in a TCP stream").  TCP flows open
 with a SYN and close with a FIN (occasionally RST, which the paper calls
 out as important control information).
 
-Frames are built once as byte templates and then re-stamped per
-transmission, so generating a large flow costs one frame construction
-plus cheap per-frame events.
+Frames are built once per *shape* -- application, encapsulation,
+address family and frame kind -- as byte templates.  A flow copies its
+shape's template and stamps its own MACs, VLAN ID, MPLS labels, IP
+addresses, application-header bytes and port into the copy, fixing the
+checksums incrementally (RFC 1624); every transmission then re-uses
+that per-flow frame.  Generating a flow costs a few byte writes instead
+of a header-stack build, and a large flow adds only cheap per-frame
+events.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,24 +108,131 @@ STANDARD_APPS: Dict[str, AppSpec] = {
 }
 
 
-def _incremental_checksum_patch(data: bytearray, field_offset: int,
-                                new_value: int, checksum_offset: int) -> None:
-    """Replace a 16-bit field and fix the checksum incrementally.
+def _adjust_checksum(data: bytearray, offset: int, delta: int,
+                     udp: bool = False) -> None:
+    """Fix the checksum at ``offset`` after the words it covers changed.
 
-    RFC 1624: HC' = ~(~HC + ~m + m').  A stored checksum of zero means
-    "not checksummed" (UDP) and is left alone.
+    ``delta`` is the new minus the old sum of the changed 16-bit words.
+    RFC 1624: the checksum is the complement of the ones'-complement sum
+    of the covered words, and that sum is the words' plain sum modulo
+    0xFFFF, so the fix needs only ``delta``, never the covered bytes.
+    The sum is kept in ``FrameBuilder``'s range 1..0xFFFF, which makes
+    the result equal a full recompute.  UDP transmits a computed zero
+    as 0xFFFF (RFC 768); a stored zero there means "no checksum" and is
+    left alone.  A TCP checksum of zero is legal and kept.
     """
+    stored = (data[offset] << 8) | data[offset + 1]
+    if udp and stored == 0:
+        return
+    checksum = 0xFFFF - ((0xFFFF - stored + delta) % 0xFFFF or 0xFFFF)
+    if udp and checksum == 0:
+        checksum = 0xFFFF
+    data[offset] = checksum >> 8
+    data[offset + 1] = checksum & 0xFF
+
+
+def _incremental_checksum_patch(data: bytearray, field_offset: int,
+                                new_value: int, checksum_offset: int,
+                                udp: bool = False) -> None:
+    """Replace a 16-bit field and fix the checksum that covers it."""
     old = (data[field_offset] << 8) | data[field_offset + 1]
-    checksum = (data[checksum_offset] << 8) | data[checksum_offset + 1]
-    if checksum != 0:
-        total = ((~checksum) & 0xFFFF) + ((~old) & 0xFFFF) + new_value
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        checksum = (~total) & 0xFFFF
-        data[checksum_offset] = checksum >> 8
-        data[checksum_offset + 1] = checksum & 0xFF
     data[field_offset] = new_value >> 8
     data[field_offset + 1] = new_value & 0xFF
+    _adjust_checksum(data, checksum_offset, new_value - old, udp)
+
+
+def _word_sum(data: bytes) -> int:
+    """Sum of ``data``'s big-endian 16-bit words modulo 0xFFFF.
+
+    ``data`` starts on a word boundary of the checksummed bytes, and an
+    odd trailing byte is the high byte of its word.  Because
+    2**16 = 1 (mod 0xFFFF), the sum is the bytes read as one integer.
+    """
+    if len(data) % 2:
+        data += b"\x00"
+    return int.from_bytes(data, "big") % 0xFFFF
+
+
+class _Template:
+    """One frame shape's bytes, where its per-flow fields sit, and the
+    checksummed field values it was built with.
+
+    :meth:`stamp` rewrites the fields for another flow of the shape:
+    the MACs (outer, and inner for a pseudowire), the VLAN ID, the MPLS
+    labels, the IP addresses and the application-header bytes, with the
+    IPv4 and TCP/UDP checksums fixed incrementally.  The TCP/UDP fix
+    cannot be a recompute: that checksum covers payload past the stored
+    head.
+    """
+
+    __slots__ = ("wire_len", "head", "ipv6", "addrs", "addr_sum",
+                 "app_bytes", "app_sum", "inner_macs_at", "vlan_at",
+                 "mpls_at", "addr_at", "ip_checksum_at", "transport_at",
+                 "app_at", "checksum_at", "udp")
+
+    def __init__(self, data: bytes, encap: EncapKind, use_ipv6: bool,
+                 transport: str, src: TrafficEndpoint, dst: TrafficEndpoint,
+                 app_bytes: bytes):
+        self.wire_len = len(data)
+        self.head = bytes(data[:DEFAULT_HEAD_BYTES])
+        self.ipv6 = use_ipv6
+        self.addrs = self._addresses(src, dst)
+        self.addr_sum = _word_sum(self.addrs)
+        self.app_bytes = app_bytes
+        self.app_sum = _word_sum(app_bytes)
+        pw = encap is EncapKind.VLAN_MPLS_PW
+        self.inner_macs_at = 30 if pw else None
+        self.vlan_at = None if encap is EncapKind.PLAIN else 14
+        self.mpls_at: Sequence[int] = (
+            (18, 22) if pw else (18,) if encap is EncapKind.VLAN_MPLS else ())
+        ip_at = 14 + encap.overhead_bytes
+        self.addr_at = ip_at + (8 if use_ipv6 else 12)
+        self.ip_checksum_at = None if use_ipv6 else ip_at + 10
+        self.transport_at = ip_at + (40 if use_ipv6 else 20)
+        self.udp = transport == "udp"
+        self.app_at = self.transport_at + (8 if self.udp else 20)
+        self.checksum_at = (None if transport == "icmp" else
+                            self.transport_at + (6 if self.udp else 16))
+
+    def _addresses(self, src: TrafficEndpoint, dst: TrafficEndpoint) -> bytes:
+        if self.ipv6:
+            return src.wire_ipv6 + dst.wire_ipv6
+        return src.wire_ipv4 + dst.wire_ipv4
+
+    def stamp(self, src: TrafficEndpoint, dst: TrafficEndpoint, vlan_id: int,
+              mpls_label: int, app_bytes: bytes) -> bytearray:
+        """This shape's head with another flow's fields written in."""
+        head = bytearray(self.head)
+        macs = dst.wire_mac + src.wire_mac
+        head[0:12] = macs
+        if self.inner_macs_at is not None:
+            head[self.inner_macs_at:self.inner_macs_at + 12] = macs
+        if self.vlan_at is not None:
+            if not 0 <= vlan_id < 4096:
+                raise ValueError(f"VLAN ID out of range: {vlan_id}")
+            at = self.vlan_at
+            head[at] = (head[at] & 0xF0) | (vlan_id >> 8)  # keeps PCP/DEI
+            head[at + 1] = vlan_id & 0xFF
+        for i, at in enumerate(self.mpls_at):
+            label = mpls_label + i
+            if not 0 <= label < (1 << 20):
+                raise ValueError(f"MPLS label out of range: {label}")
+            head[at] = label >> 12
+            head[at + 1] = (label >> 4) & 0xFF
+            head[at + 2] = ((label & 0xF) << 4) | (head[at + 2] & 0x0F)
+        delta = 0
+        addrs = self._addresses(src, dst)
+        if addrs != self.addrs:
+            head[self.addr_at:self.addr_at + len(addrs)] = addrs
+            delta = _word_sum(addrs) - self.addr_sum
+            if self.ip_checksum_at is not None:
+                _adjust_checksum(head, self.ip_checksum_at, delta)
+        if app_bytes != self.app_bytes:
+            head[self.app_at:self.app_at + len(app_bytes)] = app_bytes
+            delta += _word_sum(app_bytes) - self.app_sum
+        if delta and self.checksum_at is not None:
+            _adjust_checksum(head, self.checksum_at, delta, self.udp)
+        return head
 
 
 class Flow:
@@ -131,14 +243,19 @@ class Flow:
     the next, so memory stays bounded for huge flows.  The flow stops at
     ``total_bytes`` sent or at ``stop_time``, whichever comes first.
 
-    Frame templates are cached per (app, encapsulation, addressing)
-    shape and per-flow port numbers are patched in with an incremental
-    checksum update, so creating tens of thousands of small flows stays
-    cheap while every flow keeps a distinct, valid five-tuple.
+    Frame templates are built once per shape, keyed on (app, encapsulation,
+    IPv6 or not, frame kind), from whichever flow first needs the shape.
+    Every flow stamps its own endpoints, VLAN ID, MPLS labels and
+    application header into a copy (:meth:`_Template.stamp`), then its
+    port or ICMP identifier, each with an incremental checksum update.
+    Creating tens of thousands of small flows thus builds a few dozen
+    frames, and every stamped frame is byte-identical to a full build.
     """
 
     _builder = FrameBuilder()
-    _template_cache: Dict[tuple, Frame] = {}
+    _templates: Dict[Tuple[str, EncapKind, bool, str], _Template] = {}
+    # Application-header bytes of data frames, per (app, VLAN ID).
+    _app_header_bytes: Dict[Tuple[str, int], bytes] = {}
     _TEMPLATE_SPORT = 40000  # placeholder patched per flow
 
     def __init__(
@@ -251,34 +368,29 @@ class Flow:
     # -- frame construction ------------------------------------------------
 
     def _payload_bytes_per_data_frame(self) -> int:
-        overhead = self._data_template.wire_len - self.app.inner_frame_size
         ip_tcp = 40 if not self.use_ipv6 else 60
         return max(1, self.app.inner_frame_size - 14 - ip_tcp)
 
-    def _transport_offset(self) -> int:
-        """Byte offset of the transport header in this flow's frames."""
-        return 14 + _outer_overhead(self.encap) + (40 if self.use_ipv6 else 20)
-
     def _build_frame(self, forward: bool, kind: str) -> Frame:
-        """A frame of one kind ('data'/'ack'/'syn'/'fin'/'rst'),
-        fetched from the shape cache and patched with this flow's port."""
+        """A frame of one kind ('data'/'ack'/'syn'/'fin'/'rst'): the
+        shape's template stamped with this flow's fields and port."""
         src, dst = (self.src, self.dst) if forward else (self.dst, self.src)
-        key = (self.app.name, self.encap, self.vlan_id, self.mpls_label,
-               src.mac, dst.mac, self.use_ipv6, kind)
-        template = self._template_cache.get(key)
+        key = (self.app.name, self.encap, self.use_ipv6, kind)
+        template = self._templates.get(key)
         if template is None:
             template = self._build_template(src, dst, forward, kind)
-            self._template_cache[key] = template
-        head = bytearray(template.head)
-        offset = self._transport_offset()
+            self._templates[key] = template
+        head = template.stamp(src, dst, self.vlan_id, self.mpls_label,
+                              self._app_bytes(kind))
+        offset = template.transport_at
         if self.app.transport == "icmp":
             # Flow identity lives in the echo identifier.
             _incremental_checksum_patch(head, offset + 4,
                                         self.flow_id & 0xFFFF, offset + 2)
         else:
             field = offset if forward else offset + 2
-            checksum = offset + (16 if self.app.transport == "tcp" else 6)
-            _incremental_checksum_patch(head, field, self.sport, checksum)
+            _incremental_checksum_patch(head, field, self.sport,
+                                        template.checksum_at, template.udp)
         return Frame(
             wire_len=template.wire_len,
             head=bytes(head),
@@ -288,9 +400,40 @@ class Flow:
             site=src.site,
         )
 
+    def _app_header(self, kind: str) -> Optional[object]:
+        """The application header of this flow's ``kind`` frames.
+
+        Only data frames carry one.  Its RNG is derived from (app, kind,
+        VLAN ID), never drawn from the flow's shared stream: whether a
+        flow builds a template depends on what the process built
+        before, so a draw here would desynchronize otherwise identical
+        seeded runs.
+        """
+        if kind != "data" or self.app.app_header is None:
+            return None
+        header_rng = np.random.default_rng(
+            zlib.crc32(f"{self.app.name}/{kind}/{self.vlan_id}".encode()))
+        return self.app.app_header(header_rng)
+
+    def _app_bytes(self, kind: str) -> bytes:
+        """The bytes :meth:`_app_header` packs to around an empty
+        payload: what differs between two flows' headers.  Headers
+        drawn from the RNG (the DNS identifier) lead with these bytes;
+        headers that wrap their payload length (TLS) draw nothing and
+        so never differ."""
+        if kind != "data" or self.app.app_header is None:
+            return b""
+        key = (self.app.name, self.vlan_id)
+        packed = self._app_header_bytes.get(key)
+        if packed is None:
+            header = self._app_header(kind)
+            packed = b"" if header is None else header.pack(b"")
+            self._app_header_bytes[key] = packed
+        return packed
+
     def _build_template(self, src: TrafficEndpoint, dst: TrafficEndpoint,
-                        forward: bool, kind: str) -> Frame:
-        """Build the cacheable template for one frame shape."""
+                        forward: bool, kind: str) -> _Template:
+        """Build one frame shape with ``FrameBuilder``, from this flow."""
         stack: List[object] = underlay_stack(
             self.encap, src.mac, dst.mac, self.vlan_id, self.mpls_label,
             inner_src_mac=src.mac, inner_dst_mac=dst.mac,
@@ -315,17 +458,9 @@ class Flow:
             stack.append(UDP(sport=sport, dport=dport))
         else:
             stack.append(ICMP(icmp_type=8 if forward else 0, ident=0))
-        if is_data and self.app.app_header is not None:
-            # Templates are cached process-wide, so building one must
-            # not consume the flow's shared RNG stream: a later run in
-            # the same process would hit the cache, skip the draw, and
-            # desynchronize otherwise-identical seeded traffic.  The
-            # header RNG is derived from the template shape instead.
-            header_rng = np.random.default_rng(
-                zlib.crc32(f"{self.app.name}/{kind}/{self.vlan_id}".encode()))
-            app_header = self.app.app_header(header_rng)
-            if app_header is not None:
-                stack.append(app_header)
+        app_header = self._app_header(kind)
+        if app_header is not None:
+            stack.append(app_header)
         if is_data or self.app.request_response:
             inner_size = self.app.inner_frame_size if is_data else max(
                 MIN_FRAME_SIZE, self.app.inner_frame_size // 2
@@ -333,23 +468,7 @@ class Flow:
         else:
             inner_size = MIN_FRAME_SIZE + 4  # payload-free ACK / control
         stack.append(Payload(0))
-        target = inner_size + _outer_overhead(self.encap)
+        target = inner_size + self.encap.overhead_bytes
         data = self._builder.build(FrameSpec(stack, target_size=target))
-        return Frame(
-            wire_len=len(data),
-            head=bytes(data[:DEFAULT_HEAD_BYTES]),
-            created_at=self.sim.now,
-            flow_id=self.flow_id,
-            slice_id=src.slice_name,
-            site=src.site,
-        )
-
-
-def _outer_overhead(kind: EncapKind) -> int:
-    """Wire bytes the underlay adds on top of an inner frame."""
-    return {
-        EncapKind.PLAIN: 0,
-        EncapKind.VLAN: 4,
-        EncapKind.VLAN_MPLS: 8,
-        EncapKind.VLAN_MPLS_PW: 30,  # VLAN + 2xMPLS + PW + second Ethernet
-    }[kind]
+        return _Template(data, self.encap, self.use_ipv6, self.app.transport,
+                         src, dst, self._app_bytes(kind))

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,16 +69,36 @@ class WorkloadProfile:
     flow_size_cap: float = 1e8
 
     def pick_app(self, rng: np.random.Generator) -> AppSpec:
-        names = list(self.app_weights)
-        weights = np.array([self.app_weights[n] for n in names], dtype=float)
-        weights /= weights.sum()
-        return STANDARD_APPS[str(rng.choice(names, p=weights))]
+        names, cdf = self._app_cdf
+        return STANDARD_APPS[names[bisect_right(cdf, rng.random())]]
 
     def pick_encap(self, rng: np.random.Generator) -> EncapKind:
-        kinds = list(self.encap_weights)
-        weights = np.array([self.encap_weights[k] for k in kinds], dtype=float)
-        weights /= weights.sum()
-        return kinds[int(rng.choice(len(kinds), p=weights))]
+        kinds, cdf = self._encap_cdf
+        return kinds[bisect_right(cdf, rng.random())]
+
+    @cached_property
+    def _app_cdf(self) -> Tuple[List[str], List[float]]:
+        return list(self.app_weights), _choice_cdf(self.app_weights.values())
+
+    @cached_property
+    def _encap_cdf(self) -> Tuple[List[EncapKind], List[float]]:
+        return list(self.encap_weights), _choice_cdf(self.encap_weights.values())
+
+
+def _choice_cdf(weights: Iterable[float]) -> List[float]:
+    """The CDF ``Generator.choice(p=...)`` draws from, for ``weights``.
+
+    ``choice`` normalizes ``p`` into a CDF with exactly this numpy
+    arithmetic, draws one ``rng.random()`` and returns the
+    ``searchsorted(..., side="right")`` index, so ``bisect_right`` on
+    this list picks what ``choice`` would, draw for draw, without
+    rebuilding arrays per pick.
+    """
+    p = np.array(list(weights), dtype=float)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 WORKLOAD_PROFILES: Dict[str, WorkloadProfile] = {
@@ -202,6 +224,12 @@ class SiteTrafficGenerator:
         self.endpoints: List[TrafficEndpoint] = []
         self.remote_peers: List[TrafficEndpoint] = []
         self.flows: List[Flow] = []
+        # (VLAN ID, MPLS label) of each of the site's slices.
+        self._slice_tags = [
+            (100 + _stable_hash(f"{site}/{i}") % 3000,
+             16000 + _stable_hash(f"{site}/{i}/mpls") % 4000)
+            for i in range(profile.slices)
+        ]
         self._size_sampler = flow_size_sampler(
             body_median=profile.flow_body_median,
             body_sigma=profile.flow_body_sigma,
@@ -253,7 +281,8 @@ class SiteTrafficGenerator:
         else:
             others = [e for e in self.endpoints if e is not src]
             dst = others[int(self.rng.integers(0, len(others)))]
-        slice_index = int(self.rng.integers(0, self.profile.slices))
+        vlan_id, mpls_label = self._slice_tags[
+            int(self.rng.integers(0, self.profile.slices))]
         flow_id = next(_flow_ids)
         return Flow(
             sim=self.federation.sim,
@@ -266,8 +295,8 @@ class SiteTrafficGenerator:
             rng=self.rng,
             rate_scale=self.scale,
             encap=encap,
-            vlan_id=100 + (_stable_hash(f"{self.site}/{slice_index}") % 3000),
-            mpls_label=16000 + (_stable_hash(f"{self.site}/{slice_index}/mpls") % 4000),
+            vlan_id=vlan_id,
+            mpls_label=mpls_label,
             use_ipv6=self.rng.random() < self.profile.ipv6_fraction,
             start_time=at,
             stop_time=stop_time,

@@ -58,6 +58,18 @@ class TestFlowFrames:
         flow = make_flow(federation, a, b, encap=EncapKind.VLAN_MPLS_PW)
         assert flow._data_template.wire_len == 1514 + 30
 
+    @pytest.mark.parametrize("encap", list(EncapKind))
+    def test_overhead_bytes_is_what_the_underlay_adds(self, world, encap):
+        """The apps carry an application header, so the header stack is
+        over the 60-byte Ethernet minimum under every encapsulation:
+        ``FrameBuilder`` sizes shorter stacks a few bytes short of their
+        target (see ROADMAP)."""
+        federation, a, b, _c = world
+        for app in ("http", "ssh", "dns", "ntp"):
+            flow = make_flow(federation, a, b, app=app, encap=encap)
+            assert (flow._data_template.wire_len
+                    - flow.app.inner_frame_size) == encap.overhead_bytes
+
     def test_ack_is_small(self, world):
         federation, a, b, _c = world
         flow = make_flow(federation, a, b)

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.testbed import FederationBuilder
+from repro.traffic.flows import STANDARD_APPS
 from repro.traffic.workloads import (
     WORKLOAD_PROFILES,
     TrafficOrchestrator,
+    WorkloadProfile,
     assign_site_profiles,
 )
 
@@ -25,6 +29,37 @@ class TestProfiles:
         rng = np.random.default_rng(0)
         kind = WORKLOAD_PROFILES["mixed"].pick_encap(rng)
         assert kind in WORKLOAD_PROFILES["mixed"].encap_weights
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_PROFILES))
+    def test_picks_match_generator_choice_draw_for_draw(self, name):
+        """The precomputed-CDF picks are ``Generator.choice(p=...)``'s
+        picks from the same stream, one ``random()`` each."""
+        profile = WORKLOAD_PROFILES[name]
+        apps = list(profile.app_weights)
+        app_p = np.array([profile.app_weights[a] for a in apps], dtype=float)
+        app_p /= app_p.sum()
+        kinds = list(profile.encap_weights)
+        kind_p = np.array([profile.encap_weights[k] for k in kinds], dtype=float)
+        kind_p /= kind_p.sum()
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3000):
+            assert profile.pick_app(ours).name == \
+                str(reference.choice(apps, p=app_p))
+            assert profile.pick_encap(ours) is \
+                kinds[int(reference.choice(len(kinds), p=kind_p))]
+        assert ours.random() == reference.random()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.001, 100.0), min_size=1, max_size=8),
+           st.integers(0, 2**32))
+    def test_picks_match_choice_for_any_weights(self, weights, seed):
+        names = sorted(STANDARD_APPS)[:len(weights)]
+        profile = WorkloadProfile(name="x", app_weights=dict(zip(names, weights)))
+        p = np.array(weights, dtype=float)
+        p /= p.sum()
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            assert profile.pick_app(ours).name == str(reference.choice(names, p=p))
 
     def test_assignment_deterministic(self):
         sites = ["A", "B", "C", "D", "E"]
