@@ -1,16 +1,24 @@
 """The discrete-event engine.
 
-A minimal, fast event loop: events are ``(time, sequence, callback)``
-triples in a binary heap.  The sequence number breaks ties so that events
-scheduled at the same instant fire in scheduling order, which keeps runs
-deterministic (a requirement for reproducible experiments).
+A minimal, fast event loop.  The queue is a binary heap of
+``(time, seq, event)`` tuples: ``seq`` is a per-simulator counter, so
+events scheduled at the same instant fire in scheduling order, which
+keeps runs deterministic (a requirement for reproducible experiments).
+Because ``seq`` is unique, tuple comparison is settled by ``time`` and
+``seq`` alone and never reaches the :class:`Event`, so ``heapq`` orders
+the queue entirely in C.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+import math
+import sys
+from typing import Any, Callable, List, Optional, Tuple
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Event:
@@ -38,14 +46,15 @@ class Event:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+            self._sim._stale += 1
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.9f} #{self.seq}{state}>"
+
+
+def _not_a_time(what: str) -> ValueError:
+    return ValueError(f"cannot {what} NaN: it has no place in the event order")
 
 
 class Simulator:
@@ -62,41 +71,53 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self.events_processed = 0
-        self._live = 0  # pending non-cancelled events (O(1) `pending`)
+        # Cancelled events still in the heap, so `pending` is O(1).
+        self._stale = 0
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
+            if delay != delay:
+                raise _not_a_time("schedule after")
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        time = self.now + delay
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, self)
+        _heappush(self._heap, (time, seq, event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self.now:
+        if not time >= self.now:
+            if time != time:
+                raise _not_a_time("schedule at")
             raise ValueError(f"cannot schedule at {time} (now is {self.now})")
-        event = Event(time, next(self._counter), callback, args, self)
-        heapq.heappush(self._heap, event)
-        self._live += 1
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, self)
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            _heappop(heap)
+            self._stale -= 1
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run one event.  Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = _heappop(heap)
             if event.cancelled:
+                self._stale -= 1
                 continue
-            self.now = event.time
+            self.now = time
             event.fired = True
-            self._live -= 1
             event.callback(*event.args)
             self.events_processed += 1
             return True
@@ -114,24 +135,41 @@ class Simulator:
         from a known time.  If the event cap left unfired events at or
         before ``until``, the clock stays at the last fired event (it
         never jumps over pending work).
+
+        Callbacks may call ``run`` themselves (the allocator advances
+        time that way): every piece of loop state except this call's
+        own event count lives on the simulator, so the outer loop simply
+        resumes with whatever the nested one left in the heap.
         """
+        if until is None:
+            horizon = math.inf  # no queued time exceeds it (NaN is refused)
+        elif until != until:
+            raise _not_a_time("run until")
+        else:
+            horizon = until
+        cap = sys.maxsize if max_events is None else max_events
+        heap = self._heap
         fired = 0
-        while self._heap:
-            next_time = self.peek_time()
-            if next_time is None:
+        while heap:
+            time, _, event = heap[0]
+            if event.cancelled:
+                _heappop(heap)
+                self._stale -= 1
+                continue
+            if time > horizon or fired >= cap:
                 break
-            if until is not None and next_time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            self.step()
+            _heappop(heap)
+            self.now = time
+            event.fired = True
+            event.callback(*event.args)
+            self.events_processed += 1
             fired += 1
         if until is not None and self.now < until:
-            next_time = self.peek_time()
-            if next_time is None or next_time > until:
+            # Cancelled heads were dropped above, so heap[0] is live.
+            if not heap or heap[0][0] > until:
                 self.now = until
 
     @property
     def pending(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return self._live
+        return len(self._heap) - self._stale

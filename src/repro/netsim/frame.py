@@ -11,7 +11,7 @@ head always contains the complete header stack (built by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 _frame_ids = itertools.count(1)
 
@@ -21,7 +21,6 @@ _frame_ids = itertools.count(1)
 DEFAULT_HEAD_BYTES = 256
 
 
-@dataclass
 class Frame:
     """One Ethernet frame in flight.
 
@@ -30,21 +29,35 @@ class Frame:
     metadata fields (``flow_id``, ``slice_id``, ``site``) exist for
     bookkeeping and validation in tests -- the capture and analysis code
     never reads them, it works from the bytes like the real system.
+
+    A plain slotted class rather than a dataclass: one is built per
+    generated frame and per mirrored copy, so construction is on the
+    dataplane's hot path.  Omitting ``frame_id`` draws a fresh one.
     """
 
-    wire_len: int
-    head: bytes
-    created_at: float = 0.0
-    flow_id: int = 0
-    slice_id: str = ""
-    site: str = ""
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    __slots__ = ("wire_len", "head", "created_at", "flow_id", "slice_id",
+                 "site", "frame_id")
 
-    def __post_init__(self) -> None:
-        if self.wire_len <= 0:
+    def __init__(self, wire_len: int, head: bytes, created_at: float = 0.0,
+                 flow_id: int = 0, slice_id: str = "", site: str = "",
+                 frame_id: Optional[int] = None):
+        if wire_len <= 0:
             raise ValueError("frame must have positive wire length")
-        if len(self.head) > self.wire_len:
+        if len(head) > wire_len:
             raise ValueError("head cannot exceed wire length")
+        self.wire_len = wire_len
+        self.head = head
+        self.created_at = created_at
+        self.flow_id = flow_id
+        self.slice_id = slice_id
+        self.site = site
+        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
+
+    def __repr__(self) -> str:
+        return (f"Frame(wire_len={self.wire_len}, head=<{len(self.head)} B>, "
+                f"created_at={self.created_at}, flow_id={self.flow_id}, "
+                f"slice_id={self.slice_id!r}, site={self.site!r}, "
+                f"frame_id={self.frame_id})")
 
     def captured_bytes(self, snaplen: int) -> bytes:
         """The bytes a capture with the given snap length would record.
@@ -59,11 +72,5 @@ class Frame:
 
     def clone(self) -> "Frame":
         """A copy with its own frame id (used by port mirroring)."""
-        return Frame(
-            wire_len=self.wire_len,
-            head=self.head,
-            created_at=self.created_at,
-            flow_id=self.flow_id,
-            slice_id=self.slice_id,
-            site=self.site,
-        )
+        return Frame(self.wire_len, self.head, self.created_at,
+                     self.flow_id, self.slice_id, self.site)

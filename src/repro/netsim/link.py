@@ -127,24 +127,30 @@ class Channel:
         Returns True if it was queued, False if tail-dropped.
         """
         stats = self.stats
+        wire_len = frame.wire_len
         stats.offered_frames += 1
-        stats.offered_bytes += frame.wire_len
-        if frame.wire_len > self.mtu:
+        stats.offered_bytes += wire_len
+        if wire_len > self.mtu:
             self.oversize_drops += 1
             stats.dropped_frames += 1
-            stats.dropped_bytes += frame.wire_len
+            stats.dropped_bytes += wire_len
             return False
         if self._taps:
             for tap in tuple(self._taps):
                 tap(frame)
-        if self._queued_bytes + frame.wire_len > self.queue_limit_bytes:
+        if self._queued_bytes + wire_len > self.queue_limit_bytes:
             stats.dropped_frames += 1
-            stats.dropped_bytes += frame.wire_len
+            stats.dropped_bytes += wire_len
             return False
-        self._queue.append(frame)
-        self._queued_bytes += frame.wire_len
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            self._queue.append(frame)
+            self._queued_bytes += wire_len
+        else:
+            # Idle means the queue is empty: serialize at once instead
+            # of a round trip through it.
+            self._busy = True
+            self.sim.schedule(wire_len * 8.0 / self.rate_bps,
+                              self._finish_transmit, frame)
         return True
 
     @property

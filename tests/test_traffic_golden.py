@@ -1,10 +1,12 @@
-"""Golden output of a small fixed-seed campaign.
+"""Golden output of small fixed-seed campaigns.
 
 Pins the sha256 of the journal, ``records.json`` and the pcap set of a
 four-site sharded campaign (one ``chatty``, one ``mixed`` and two
 ``bulk`` sites at seed 19) whose traffic span reaches the capture
-sample, so every captured frame head is part of the pin.  A change to
-how flows or frames are generated that is meant to be output-neutral
+sample, so every captured frame head is part of the pin.  A second pin
+covers the unsharded, durable path: the same sites as one world over
+two occasions.  A change to how flows or frames are generated, or to
+how the event loop orders them, that is meant to be output-neutral
 must leave these hashes alone.
 
 The campaign runs in a fresh interpreter: flow ids come from a
@@ -20,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.netsim.engine import Event, Simulator
+
 REPO = Path(__file__).resolve().parents[1]
 
 CAMPAIGN = """
@@ -29,11 +33,12 @@ from repro.core.campaign import CampaignManifest, CampaignRunner
 from repro.core.checkpoint import sha256_file
 
 out = Path(sys.argv[1])
-manifest = CampaignManifest(
-    seed=19, sites=("STAR", "MICH", "UTAH", "TACC"), occasions=1,
-    traffic_scale=0.02, traffic_span=40.0, sharded=True,
-    sample_duration=2.0, sample_interval=10.0, samples_per_run=1,
-    runs_per_cycle=1, cycles=1, desired_instances=1, cache_enabled=False)
+manifest = CampaignManifest(**{
+    "seed": 19, "sites": ("STAR", "MICH", "UTAH", "TACC"),
+    "traffic_scale": 0.02, "traffic_span": 40.0,
+    "sample_duration": 2.0, "sample_interval": 10.0, "samples_per_run": 1,
+    "runs_per_cycle": 1, "cycles": 1, "desired_instances": 1,
+    "cache_enabled": False, **json.loads(sys.argv[2])})
 summary = CampaignRunner(out, manifest=manifest, shard_workers=1).run()
 pcaps = sorted((out / "captures").rglob("*.pcap"))
 listing = "".join(f"{p.relative_to(out)} {sha256_file(p)}\\n" for p in pcaps)
@@ -46,6 +51,7 @@ print(json.dumps({
 }))
 """
 
+SHARDED = {"sharded": True, "occasions": 1}
 GOLDEN = {
     "audit_ok": True,
     "journal": "6e1caf2daa4b5d66c021e7b52dca76965d8ed3fa5dff3fc9759ff5f612d50f4b",
@@ -55,11 +61,52 @@ GOLDEN = {
 }
 
 
-def test_fixed_seed_campaign_outputs_are_pinned(tmp_path):
+# The unsharded path (``CampaignRunner._run_occasion``) with a durable
+# WAL commit per occasion.  One world runs every site's setup, so it
+# needs a longer traffic span than the shards for the capture samples
+# to see traffic.
+SERIAL = {"sharded": False, "occasions": 2, "traffic_span": 120.0}
+GOLDEN_SERIAL = {
+    "audit_ok": True,
+    "journal": "31b4db9d3d9a56beece40bd42a92bd00ceb83f90ff64843fe7c21cd3dfbf48c0",
+    "records": "a7113386a54f3e6cbd77a00d23a28b6ac714aa8472e5e4b68498991be419049a",
+    "pcap_set": "3933571e78f9bf6c02eb219e5ba8c81772bf10803dc29920df6d5ba276d9249b",
+    "pcap_bytes": 965760,
+}
+
+
+def _campaign_outputs(run_dir, manifest_kwargs):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     result = subprocess.run(
-        [sys.executable, "-c", CAMPAIGN, str(tmp_path / "run")],
+        [sys.executable, "-c", CAMPAIGN, str(run_dir),
+         json.dumps(manifest_kwargs)],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
-    outputs = json.loads(result.stdout.strip().splitlines()[-1])
-    assert outputs == GOLDEN
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_fixed_seed_campaign_outputs_are_pinned(tmp_path):
+    assert _campaign_outputs(tmp_path / "run", SHARDED) == GOLDEN
+
+
+def test_serial_campaign_outputs_are_pinned(tmp_path):
+    assert _campaign_outputs(tmp_path / "run", SERIAL) == GOLDEN_SERIAL
+
+
+def test_heap_entries_order_without_python_comparisons():
+    # The golden hashes hold whatever the heap's mechanism; this pins
+    # the mechanism.  Entries are (time, seq, event) with a unique seq,
+    # so heapq orders them in C and never compares two events.
+    sim = Simulator()
+    for delay in (2.0, 1.0, 1.0, 0.0):
+        sim.schedule(delay, lambda: None)
+    sim.schedule_at(3.0, lambda: None)
+    assert sim._heap
+    for entry in sim._heap:
+        assert type(entry) is tuple and len(entry) == 3
+        time, seq, event = entry
+        assert type(time) is float and type(seq) is int
+        assert isinstance(event, Event)
+        assert (event.time, event.seq) == (time, seq)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert name not in vars(Event), name
