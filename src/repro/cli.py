@@ -98,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="occasions to run (durable mode only)")
     profile.add_argument("--traffic-span", type=float, default=0.0,
                          help="seconds of traffic to generate per occasion "
-                              "(durable mode only; 0 = cover the whole "
-                              "sampling plan)")
+                              "(0 = cover the whole sampling plan)")
     profile.add_argument("--shard-workers", type=int, default=0,
                          metavar="N",
                          help="run each site's instance in its own shard "
@@ -324,31 +323,27 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.resume is not None or args.durable or args.shard_workers > 0:
         return _cmd_profile_durable(args)
-    from repro import quickstart_federation
     from repro.analysis import AnalysisPipeline, Anonymizer
     from repro.capture.session import CaptureMethod
     from repro.core import (AnalysisConfig, Coordinator, PatchworkConfig,
                             SamplingPlan, TelemetryConfig)
+    from repro.core.sharding import traffic_world
     from repro.obs import Observability, scoped, to_prometheus
 
     sites = args.sites or ["STAR", "MICH", "UTAH", "TACC"]
-    federation, api, poller, orchestrator = quickstart_federation(
-        site_names=sites, seed=args.seed, traffic_scale=args.scale)
     plan = SamplingPlan(
         sample_duration=args.sample_duration,
         sample_interval=args.sample_interval,
         samples_per_run=args.samples, runs_per_cycle=1, cycles=args.cycles)
-    span = plan.approximate_duration * len(sites) + 600.0
-    window = 0.0
-    while window < span:
-        orchestrator.generate_window(window, min(150.0, span - window))
-        window += 150.0
-    method = {"tcpdump": CaptureMethod.TCPDUMP, "dpdk": CaptureMethod.DPDK,
-              "fpga+dpdk": CaptureMethod.FPGA_DPDK}[args.method]
+    # Traffic seed 7 is quickstart_federation's default.
+    federation, api, poller = traffic_world(
+        sites, {"world": args.seed, "traffic": 7}, args.scale, plan,
+        len(sites), args.traffic_span)
     transform = Anonymizer().transform if args.anonymize else None
     config = PatchworkConfig(
         output_dir=args.out, plan=plan, desired_instances=args.instances,
-        snaplen=args.snaplen, capture_method=method, transform=transform,
+        snaplen=args.snaplen, capture_method=CaptureMethod(args.method),
+        transform=transform,
         analysis=AnalysisConfig(max_workers=args.workers,
                                 cache_enabled=not args.no_cache),
         telemetry=TelemetryConfig(enabled=args.telemetry_queries,

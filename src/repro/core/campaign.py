@@ -72,7 +72,8 @@ class CampaignManifest:
     workers: int = 1
     cache_enabled: bool = True
     # Seconds of traffic to pre-generate per occasion; 0.0 means the
-    # profile CLI's conservative formula (plan duration x sites + 600).
+    # conservative formula in ``sharding.traffic_world`` (plan duration
+    # x sites + 600).
     # Small campaigns (the chaos harness) pin a tight span: generating
     # flows the occasion never simulates dominates wall time otherwise.
     traffic_span: float = 0.0
@@ -161,16 +162,13 @@ def occasion_config(manifest: CampaignManifest, occasion: int,
     from repro.capture.session import CaptureMethod
 
     run_dir = Path(run_dir)
-    method = {"tcpdump": CaptureMethod.TCPDUMP,
-              "dpdk": CaptureMethod.DPDK,
-              "fpga+dpdk": CaptureMethod.FPGA_DPDK}[manifest.method]
     return PatchworkConfig(
         output_dir=run_dir / "captures",
         sites=list(sites if sites is not None else manifest.sites),
         plan=manifest.plan(),
         desired_instances=manifest.desired_instances,
         snaplen=manifest.snaplen,
-        capture_method=method,
+        capture_method=CaptureMethod(manifest.method),
         pcap_prefix=f"o{occasion}_",
         recovery=RecoveryConfig(enabled=manifest.recovery_enabled),
         analysis=AnalysisConfig(max_workers=max(manifest.workers, 1),
@@ -346,17 +344,12 @@ class CampaignRunner:
                         commit = self._salvage_occasion(
                             manifest, checkpointer, occasion, rows)
                     summary.salvaged.append(occasion)
-                elif manifest.sharded:
-                    with self.trace.span("occasion.run", occasion=occasion,
-                                         sharded=True):
-                        commit = self._run_occasion_sharded(
-                            manifest, checkpointer, occasion)
-                    summary.executed.append(occasion)
                 else:
+                    run = (self._run_occasion_sharded if manifest.sharded
+                           else self._run_occasion)
                     with self.trace.span("occasion.run", occasion=occasion,
-                                         sharded=False):
-                        commit = self._run_occasion(manifest, checkpointer,
-                                                    occasion)
+                                         sharded=manifest.sharded):
+                        commit = run(manifest, checkpointer, occasion)
                     summary.executed.append(occasion)
                 all_records[occasion] = list(commit.get("records", []))
             with self.trace.span("campaign.finalize"):
@@ -417,11 +410,11 @@ class CampaignRunner:
         return summary
 
     def _verify_commit(self, commit: Dict[str, Any]) -> bool:
-        """Is every artifact an occasion-commit names still intact?
+        """Is every artifact an occasion- or shard-commit names intact?
 
         Any mismatch -- a checkpoint half-replaced, a segment missing, a
-        pcap truncated after the fact -- demotes the occasion back to
-        "run me again"; determinism makes the re-run safe.
+        pcap truncated after the fact -- demotes the occasion (or shard)
+        back to "run me again"; determinism makes the re-run safe.
         """
         checks: List[Tuple[Path, Optional[str]]] = []
         if commit.get("checkpoint"):
@@ -433,103 +426,23 @@ class CampaignRunner:
                            commit.get("journal_segment_sha256")))
         for rel, sha in (commit.get("pcaps") or {}).items():
             checks.append((self.run_dir / rel, sha))
-        return self._paths_intact(checks)
-
-    def _verify_shard_commit(self, commit: Dict[str, Any]) -> bool:
-        """Is a shard-commit's segment (and every pcap it names) intact?"""
-        checks: List[Tuple[Path, Optional[str]]] = [
-            (self.run_dir / SEGMENT_DIR / commit["journal_segment"],
-             commit.get("journal_segment_sha256"))]
-        for rel, sha in (commit.get("pcaps") or {}).items():
-            checks.append((self.run_dir / rel, sha))
-        return self._paths_intact(checks)
-
-    @staticmethod
-    def _paths_intact(checks: List[Tuple[Path, Optional[str]]]) -> bool:
-        for path, sha in checks:
-            if not path.exists():
-                return False
-            if sha is not None and sha256_file(path) != sha:
-                return False
-        return True
-
-    def _occasion_config(self, manifest: CampaignManifest,
-                         occasion: int) -> PatchworkConfig:
-        return occasion_config(manifest, occasion, self.run_dir)
+        return all(path.exists() and (sha is None or sha256_file(path) == sha)
+                   for path, sha in checks)
 
     def _run_occasion(self, manifest: CampaignManifest,
                       checkpointer: CampaignCheckpointer,
                       occasion: int) -> Dict[str, Any]:
-        """Execute one occasion from its derived seeds and commit it."""
-        from repro import quickstart_federation
-        from repro.analysis import AnalysisPipeline
-        from repro.core.coordinator import Coordinator
-        from repro.obs import Observability, scoped
-        from repro.obs.ledger import attach_digests
+        """Execute one occasion as a single all-site world and commit it."""
+        from repro.core.sharding import run_world
 
         seeds = manifest.occasion_seeds(occasion)
         next_seq = self._next_seq(checkpointer.state, occasion)
         checkpointer.begin_occasion(occasion, seeds)
-        federation, api, poller, orchestrator = quickstart_federation(
-            site_names=list(manifest.sites), seed=seeds["world"],
-            traffic_seed=seeds["traffic"],
-            traffic_scale=manifest.traffic_scale)
-        config = self._occasion_config(manifest, occasion)
-        plan = config.plan
-        span = manifest.traffic_span or (
-            plan.approximate_duration * len(manifest.sites) + 600.0)
-        window = 0.0
-        while window < span:
-            orchestrator.generate_window(window, min(150.0, span - window))
-            window += 150.0
-        with scoped(Observability.create(sim=federation.sim)) as obs:
-            obs.journal.reseq(next_seq)
-            coordinator = Coordinator(api, config, poller=poller,
-                                      seed=seeds["coordinator"],
-                                      checkpointer=checkpointer)
-            coordinator.occasions_run = occasion
-            bundle = coordinator.run_profile(
-                crash_probability=manifest.crash_probability)
-            bundle.write_logs(self.run_dir / "logs" / f"occ{occasion:04d}")
-            cache_dir = (self.run_dir / "acap-cache"
-                         if manifest.cache_enabled else None)
-            pipeline = AnalysisPipeline(acap_dir=self.run_dir / "acap",
-                                        max_workers=max(manifest.workers, 1),
-                                        cache_dir=cache_dir)
-            pipeline.run(bundle.pcap_paths)
-            attach_digests(bundle.ledgers, pipeline.acaps)
-            obs.snapshot_to_journal()
-            sim_end = federation.sim.now
-            journal = obs.journal
-        segment = journal.write(self.segment_path(occasion), io=self.io)
-        segment_sha = sha256_file(segment)
-        pcaps = {}
-        for pcap in bundle.pcap_paths:
-            rel = str(Path(pcap).relative_to(self.run_dir))
-            pcaps[rel] = sha256_file(pcap)
-        record_rows = [r.to_dict() for r in bundle.run_records]
-        ckpt_state = {
-            "occasion": occasion,
-            "seeds": seeds,
-            "next_seq": journal.next_seq,
-            "records": record_rows,
-            "pcaps": pcaps,
-            "sim_end": sim_end,
-            "manifest_sha": manifest.sha256,
-        }
-        _path, ckpt_sha = checkpointer.store.save(occasion, ckpt_state)
-        commit = {
-            "checkpoint": checkpointer.store.name_for(occasion),
-            "checkpoint_sha256": ckpt_sha,
-            "journal_segment": segment.name,
-            "journal_segment_sha256": segment_sha,
-            "next_seq": journal.next_seq,
-            "records": record_rows,
-            "pcaps": pcaps,
-            "sim_end": sim_end,
-        }
-        checkpointer.commit_occasion(occasion, commit)
-        return checkpointer.state.committed[occasion]
+        result = run_world(manifest, occasion, self.run_dir, manifest.sites,
+                           manifest.sites, seeds, checkpointer,
+                           workers=max(manifest.workers, 1))
+        result["journal"].reseq(next_seq)
+        return self._commit(manifest, checkpointer, occasion, seeds, **result)
 
     def _run_occasion_sharded(self, manifest: CampaignManifest,
                               checkpointer: CampaignCheckpointer,
@@ -563,7 +476,7 @@ class CampaignRunner:
         with self.trace.span("shard.verify", occasion=occasion):
             for site in manifest.sites:
                 commit = checkpointer.state.shards.get(occasion, {}).get(site)
-                if commit is not None and self._verify_shard_commit(commit):
+                if commit is not None and self._verify_commit(commit):
                     shard_commits[site] = commit
                 else:
                     pending.append(site)
@@ -624,40 +537,17 @@ class CampaignRunner:
         journal.emit("span-close", t=close_t, span=root_id,
                      name="campaign.occasion", attrs={})
         journal.reseq(next_seq)
-        segment_path = journal.write(self.segment_path(occasion), io=self.io)
-        segment_sha = sha256_file(segment_path)
         merge_span.end(events=len(journal.events))
-        record_rows = []
+        records = []
         pcaps: Dict[str, str] = {}
         sim_end = {}
         for site in sorted(shard_commits):
-            record_rows.extend(shard_commits[site].get("records", []))
+            records.extend(shard_commits[site].get("records", []))
             pcaps.update(shard_commits[site].get("pcaps", {}))
             sim_end[site] = shard_commits[site].get("sim_end")
-        ckpt_state = {
-            "occasion": occasion,
-            "seeds": seeds,
-            "next_seq": journal.next_seq,
-            "records": record_rows,
-            "pcaps": pcaps,
-            "sim_end": sim_end,
-            "manifest_sha": manifest.sha256,
-            "sharded": True,
-        }
         with self.trace.span("occasion.commit", occasion=occasion):
-            _path, ckpt_sha = checkpointer.store.save(occasion, ckpt_state)
-            commit = {
-                "checkpoint": checkpointer.store.name_for(occasion),
-                "checkpoint_sha256": ckpt_sha,
-                "journal_segment": segment_path.name,
-                "journal_segment_sha256": segment_sha,
-                "next_seq": journal.next_seq,
-                "records": record_rows,
-                "pcaps": pcaps,
-                "sim_end": sim_end,
-            }
-            checkpointer.commit_occasion(occasion, commit)
-        return checkpointer.state.committed[occasion]
+            return self._commit(manifest, checkpointer, occasion, seeds,
+                                journal, records, pcaps, sim_end, sharded=True)
 
     def _salvage_occasion(self, manifest: CampaignManifest,
                           checkpointer: CampaignCheckpointer,
@@ -704,33 +594,46 @@ class CampaignRunner:
                      samples=len(rows),
                      sites={site: len(site_rows)
                             for site, site_rows in sorted(by_site.items())})
-        segment = journal.write(self.segment_path(occasion), io=self.io)
-        segment_sha = sha256_file(segment)
         pcaps = {str(row["pcap"]): row["pcap_sha256"] for row in rows
                  if row.get("pcap") and row.get("pcap_sha256")
                  and (self.run_dir / str(row["pcap"])).exists()}
+        return self._commit(manifest, checkpointer, occasion, seeds, journal,
+                            record_rows, pcaps, None, salvaged=True)
+
+    def _commit(self, manifest: CampaignManifest,
+                checkpointer: CampaignCheckpointer, occasion: int,
+                seeds: Dict[str, Any], journal, records: List[Dict[str, Any]],
+                pcaps: Dict[str, str], sim_end: Any,
+                **flags: bool) -> Dict[str, Any]:
+        """Write the occasion's segment and checkpoint, then commit it.
+
+        ``flags`` (``sharded=True`` or ``salvaged=True``) are recorded in
+        the checkpoint; ``salvaged`` also makes the WAL record an
+        ``occasion-salvaged`` one.
+        """
+        segment = journal.write(self.segment_path(occasion), io=self.io)
+        segment_sha = sha256_file(segment)
         ckpt_state = {
             "occasion": occasion,
             "seeds": seeds,
             "next_seq": journal.next_seq,
-            "records": record_rows,
+            "records": records,
             "pcaps": pcaps,
-            "sim_end": None,
+            "sim_end": sim_end,
             "manifest_sha": manifest.sha256,
-            "salvaged": True,
+            **flags,
         }
         _path, ckpt_sha = checkpointer.store.save(occasion, ckpt_state)
-        commit = {
+        checkpointer.commit_occasion(occasion, {
             "checkpoint": checkpointer.store.name_for(occasion),
             "checkpoint_sha256": ckpt_sha,
             "journal_segment": segment.name,
             "journal_segment_sha256": segment_sha,
             "next_seq": journal.next_seq,
-            "records": record_rows,
+            "records": records,
             "pcaps": pcaps,
-            "sim_end": None,
-        }
-        checkpointer.commit_occasion(occasion, commit, salvaged=True)
+            "sim_end": sim_end,
+        }, salvaged=flags.get("salvaged", False))
         return checkpointer.state.committed[occasion]
 
     def _next_seq(self, state: RecoveryState, occasion: int) -> int:

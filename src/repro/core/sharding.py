@@ -4,7 +4,7 @@ Patchwork's instances are independent by design -- sites interact only
 through the control plane (R3: "no inter-instance coordination") -- so
 the simulation itself shards cleanly along site boundaries.  Each shard
 runs one site's instance in its own process with its own
-:class:`~repro.testbed.sim.Simulator`, its own RNG streams (derived
+:class:`~repro.netsim.engine.Simulator`, its own RNG streams (derived
 from a ``SeedSequenceFactory`` child keyed by the site label, see
 :meth:`repro.core.campaign.CampaignManifest.shard_seeds`), and its own
 :class:`~repro.obs.journal.RunJournal` segment.  The parent process --
@@ -20,6 +20,12 @@ task payloads, so every shard's journal is byte-identical either way,
 and the merge is a pure function of the shard journals.  The parity
 test (``tests/test_core_sharding.py``) and the chaos harness's
 byte-identity oracle enforce this.
+
+One occasion path: :func:`run_world` builds a seeded world, generates
+its traffic, profiles, digests and hashes the captures.  A shard is
+``run_world`` over ``[site, companion]`` profiling ``[site]``; the
+unsharded campaign occasion is ``run_world`` over every manifest site;
+plain ``repro profile`` shares its first step, :func:`traffic_world`.
 
 Durability: shard workers return their results to the parent; they
 never touch the WAL, checkpoints, or journal segments themselves.  The
@@ -80,6 +86,88 @@ def shard_task(manifest, occasion: int, run_dir: Union[str, Path],
     }
 
 
+def traffic_world(world: Sequence[str], seeds: Dict[str, int], scale: float,
+                  plan, headroom_sites: int, span: float = 0.0,
+                  sites: Optional[Sequence[str]] = None):
+    """Build a seeded world over ``world`` and pre-generate its traffic.
+
+    Returns ``(federation, api, poller)``.  Only ``sites`` (default
+    all) generate traffic.  A zero ``span`` covers the sampling plan
+    with headroom that scales with ``headroom_sites`` -- the whole
+    campaign's site count, not the shard's, so shard coverage never
+    shrinks relative to a single-process run.
+    """
+    from repro import quickstart_federation
+
+    federation, api, poller, orchestrator = quickstart_federation(
+        site_names=list(world), seed=seeds["world"],
+        traffic_seed=seeds["traffic"], traffic_scale=scale)
+    span = span or plan.approximate_duration * headroom_sites + 600.0
+    window = 0.0
+    while window < span:
+        orchestrator.generate_window(window, min(150.0, span - window),
+                                     sites=sites)
+        window += 150.0
+    return federation, api, poller
+
+
+def run_world(manifest, occasion: int, run_dir: Union[str, Path],
+              world: Sequence[str], sites: Sequence[str],
+              seeds: Dict[str, int], checkpointer, workers: int = 1,
+              trace: Optional[Dict[str, Any]] = None,
+              overall_scorecard: bool = True) -> Dict[str, Any]:
+    """Run one occasion over ``sites`` in a seeded world over ``world``.
+
+    Builds the world, generates traffic, runs the coordinator with
+    ``checkpointer`` as its sample sink, digests the captures with
+    ``workers`` processes and attaches the digests to the ledgers.
+    Returns ``{journal, records, pcaps, sim_end}``: the live
+    :class:`~repro.obs.journal.RunJournal`, Fig 10 record rows,
+    content-addressed pcap pointers and the simulator's end time.
+    Writes no durable state; the caller commits the result.
+    """
+    from repro.analysis import AnalysisPipeline
+    from repro.core.campaign import occasion_config
+    from repro.core.coordinator import Coordinator
+    from repro.obs import Observability, scoped
+    from repro.obs.ledger import attach_digests
+    from repro.obs.tracing import TraceContext
+
+    run_dir = Path(run_dir)
+    config = occasion_config(manifest, occasion, run_dir, sites=sites)
+    federation, api, poller = traffic_world(
+        world, seeds, manifest.traffic_scale, config.plan,
+        len(manifest.sites), manifest.traffic_span, sites=sites)
+    with scoped(Observability.create(sim=federation.sim)) as obs:
+        if trace is not None:
+            # Namespace span ids ("<site>/<n>") and parent top-level
+            # spans under the campaign root, so the merged journal
+            # forms one campaign-rooted trace tree.
+            obs.tracer.context = TraceContext.from_dict(trace)
+        coordinator = Coordinator(api, config, poller=poller,
+                                  seed=seeds["coordinator"],
+                                  checkpointer=checkpointer)
+        coordinator.occasions_run = occasion
+        coordinator.emit_overall_scorecard = overall_scorecard
+        bundle = coordinator.run_profile(
+            crash_probability=manifest.crash_probability)
+        bundle.write_logs(run_dir / "logs" / f"occ{occasion:04d}")
+        cache_dir = (run_dir / "acap-cache"
+                     if manifest.cache_enabled else None)
+        pipeline = AnalysisPipeline(acap_dir=run_dir / "acap",
+                                    max_workers=workers, cache_dir=cache_dir)
+        pipeline.run(bundle.pcap_paths)
+        attach_digests(bundle.ledgers, pipeline.acaps)
+        obs.snapshot_to_journal()
+    return {
+        "journal": obs.journal,
+        "records": [r.to_dict() for r in bundle.run_records],
+        "pcaps": {str(Path(pcap).relative_to(run_dir)): sha256_file(pcap)
+                  for pcap in bundle.pcap_paths},
+        "sim_end": federation.sim.now,
+    }
+
+
 def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
     """Run one site's slice of an occasion; returns a picklable result.
 
@@ -92,73 +180,19 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
     text, Fig 10 record rows, WAL sample rows, content-addressed pcap
     pointers, and the shard simulator's end time.
     """
-    from repro import quickstart_federation
-    from repro.analysis import AnalysisPipeline
-    from repro.core.campaign import CampaignManifest, occasion_config
-    from repro.core.coordinator import Coordinator
-    from repro.obs import Observability, scoped
-    from repro.obs.ledger import attach_digests
-    from repro.obs.tracing import TraceContext
+    from repro.core.campaign import CampaignManifest
 
     manifest = CampaignManifest.from_dict(task["manifest"])
     occasion = int(task["occasion"])
-    run_dir = Path(task["run_dir"])
     site = str(task["site"])
-    seeds = task["seeds"]
     sites = list(manifest.sites)
     companion = sites[(sites.index(site) + 1) % len(sites)]
-    federation, api, poller, orchestrator = quickstart_federation(
-        site_names=[site, companion], seed=seeds["world"],
-        traffic_seed=seeds["traffic"],
-        traffic_scale=manifest.traffic_scale)
-    config = occasion_config(manifest, occasion, run_dir, sites=[site])
-    plan = config.plan
-    # Same span formula as the serial path: headroom scales with the
-    # whole campaign's site count, not the shard's, so shard coverage
-    # never shrinks relative to a single-process run.
-    span = manifest.traffic_span or (
-        plan.approximate_duration * len(manifest.sites) + 600.0)
-    window = 0.0
-    while window < span:
-        orchestrator.generate_window(window, min(150.0, span - window),
-                                     sites=[site])
-        window += 150.0
-    collector = _ShardSampleCollector(run_dir, occasion)
-    with scoped(Observability.create(sim=federation.sim)) as obs:
-        if task.get("trace") is not None:
-            # Namespace this shard's span ids ("<site>/<n>") and parent
-            # its top-level spans under the campaign root, so the
-            # merged journal forms one campaign-rooted trace tree.
-            obs.tracer.context = TraceContext.from_dict(task["trace"])
-        coordinator = Coordinator(api, config, poller=poller,
-                                  seed=seeds["coordinator"],
-                                  checkpointer=collector)
-        coordinator.occasions_run = occasion
-        coordinator.emit_overall_scorecard = False
-        bundle = coordinator.run_profile(
-            crash_probability=manifest.crash_probability)
-        bundle.write_logs(run_dir / "logs" / f"occ{occasion:04d}")
-        cache_dir = (run_dir / "acap-cache"
-                     if manifest.cache_enabled else None)
-        pipeline = AnalysisPipeline(acap_dir=run_dir / "acap",
-                                    max_workers=1, cache_dir=cache_dir)
-        pipeline.run(bundle.pcap_paths)
-        attach_digests(bundle.ledgers, pipeline.acaps)
-        obs.snapshot_to_journal()
-        sim_end = federation.sim.now
-        journal = obs.journal
-    pcaps = {}
-    for pcap in bundle.pcap_paths:
-        rel = str(Path(pcap).relative_to(run_dir))
-        pcaps[rel] = sha256_file(pcap)
-    return {
-        "site": site,
-        "journal": journal.to_jsonl(),
-        "records": [r.to_dict() for r in bundle.run_records],
-        "samples": collector.rows,
-        "pcaps": pcaps,
-        "sim_end": sim_end,
-    }
+    collector = _ShardSampleCollector(task["run_dir"], occasion)
+    result = run_world(manifest, occasion, task["run_dir"],
+                       [site, companion], [site], task["seeds"], collector,
+                       trace=task.get("trace"), overall_scorecard=False)
+    return {**result, "site": site, "journal": result["journal"].to_jsonl(),
+            "samples": collector.rows}
 
 
 def iter_shard_results(tasks: Sequence[Dict[str, Any]],

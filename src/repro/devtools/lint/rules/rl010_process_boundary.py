@@ -14,7 +14,7 @@ static property:
   (``open``, journals, executors, simulators, ...), tracked through
   local assignments by the index's per-function taint pass.
 
-Shard tasks built via ``shard_task(...)`` are frozen dataclasses of
+Shard tasks built via ``shard_task(...)`` are plain dicts of
 primitives by construction and pass untouched.
 """
 

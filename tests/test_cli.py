@@ -134,6 +134,21 @@ class TestProfile:
         assert "report" in payload and "tables" not in payload["report"]
         assert payload["journal"].endswith("journal.jsonl")
 
+    def test_traffic_span_reaches_plain_profile(self, tmp_path, capsys):
+        def frames(*extra):
+            code = main([
+                "profile", "--sites", "STAR", "MICH",
+                "--out", str(tmp_path / f"out{len(extra)}"), "--scale", "0.02",
+                "--sample-duration", "2", "--sample-interval", "10",
+                "--samples", "1", "--cycles", "1", "--instances", "1",
+                "--json", *extra,
+            ])
+            assert code == 0
+            return json.loads(capsys.readouterr().out)["report"]["total_frames"]
+
+        # 30 s of traffic ends before the first capture sample opens.
+        assert frames("--traffic-span", "30") < frames()
+
 
 class TestObsCommands:
     @pytest.fixture()

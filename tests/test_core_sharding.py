@@ -127,22 +127,39 @@ class TestShardCrashResume:
             (occ, site) for occ in range(TINY_SHARDED.occasions)
             for site in TINY_SHARDED.sites)
 
-    def test_damaged_shard_segment_is_rerun(self, reference, tmp_path):
-        """A shard whose segment file was lost after its commit fails
-        per-shard verification on resume and is re-run, not trusted."""
+    @pytest.mark.parametrize("damage", ["segment-deleted", "pcap-truncated"])
+    def test_damaged_shard_segment_is_rerun(self, reference, tmp_path, damage):
+        """A shard whose segment file was lost, or one of whose pcaps was
+        truncated, after its commit fails verification on resume and is
+        re-run, not trusted."""
         crash_at = reference.io.shard_commit_ops[0] + 2
         run_dir = tmp_path / "run"
         crashing = CrashingIO(crash_at, derive_rng(13, "shard-damage"))
         with pytest.raises(SimulatedCrash):
             CampaignRunner(run_dir, manifest=TINY_SHARDED, io=crashing,
                            shard_workers=1).run()
-        for segment in (run_dir / SEGMENT_DIR).glob("occ*.shards/*.jsonl"):
-            segment.unlink()
+        records, torn, _ = read_wal(run_dir / "campaign.wal")
+        (damaged_site, commit), = \
+            fold_records(records, torn=torn).shards[0].items()
+        if damage == "segment-deleted":
+            for segment in (run_dir / SEGMENT_DIR).glob("occ*.shards/*.jsonl"):
+                segment.unlink()
+        else:
+            assert commit["pcaps"], "the committed shard names no pcap"
+            pcap = run_dir / sorted(commit["pcaps"])[0]
+            data = pcap.read_bytes()
+            pcap.write_bytes(data[:len(data) // 2])
         summary = CampaignRunner(run_dir, manifest=TINY_SHARDED,
                                  shard_workers=1).run(resume=True)
         assert summary.audit_ok
         assert sha256_file(run_dir / "journal.jsonl") == \
             sha256_file(reference.run_dir / "journal.jsonl")
+        assert summary.records_sha256 == reference.summary.records_sha256
+        # The damaged shard was re-run: a second commit for its site.
+        records, _, _ = read_wal(run_dir / "campaign.wal")
+        keys = [(r.data["occasion"], r.data["site"])
+                for r in records if r.kind == "shard-commit"]
+        assert keys.count((0, damaged_site)) == 2
 
 
 class TestShardFoldUnits:

@@ -5,9 +5,10 @@ four-site sharded campaign (one ``chatty``, one ``mixed`` and two
 ``bulk`` sites at seed 19) whose traffic span reaches the capture
 sample, so every captured frame head is part of the pin.  A second pin
 covers the unsharded, durable path: the same sites as one world over
-two occasions.  A change to how flows or frames are generated, or to
-how the event loop orders them, that is meant to be output-neutral
-must leave these hashes alone.
+two occasions.  A third pins plain ``repro profile``, which has no WAL
+and writes CSVs next to its journal.  A change to how flows or frames
+are generated, or to how the event loop orders them, that is meant to
+be output-neutral must leave these hashes alone.
 
 The campaign runs in a fresh interpreter: flow ids come from a
 process-global counter and become ICMP echo identifiers, so a second
@@ -16,12 +17,14 @@ campaign in the same process writes different pcap bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.core.checkpoint import sha256_file
 from repro.netsim.engine import Event, Simulator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -61,7 +64,7 @@ GOLDEN = {
 }
 
 
-# The unsharded path (``CampaignRunner._run_occasion``) with a durable
+# The unsharded path (one ``run_world`` over every site) with a durable
 # WAL commit per occasion.  One world runs every site's setup, so it
 # needs a longer traffic span than the shards for the capture samples
 # to see traffic.
@@ -75,14 +78,50 @@ GOLDEN_SERIAL = {
 }
 
 
-def _campaign_outputs(run_dir, manifest_kwargs):
+# Plain ``repro profile`` (no WAL, no manifest) with the arguments of
+# the CI smoke run.  Its world comes from the same ``traffic_world`` as
+# the campaign paths, with the seeds ``quickstart_federation`` defaults
+# to.  ``metrics.prom`` is not pinned: it carries wall-clock values.
+PROFILE_ARGS = ["--sites", "STAR", "MICH", "--scale", "0.02",
+                "--sample-duration", "2", "--sample-interval", "10",
+                "--samples", "1", "--cycles", "1", "--instances", "1"]
+GOLDEN_PROFILE = {
+    "journal": "d7014939c447caf550ea0b1847972692c1ed5443c0497749f39f660942494399",
+    "pcap_set": "e421deef97183b103f5d4750aa38298ff2ada8985536d9757996c4d127245bc8",
+    "pcap_bytes": 830788,
+    "csv_set": "ab131135ce93e185d53d30b70fd7d1fce8df93daf9e5de3425e016f1918bce9d",
+}
+
+
+def _listing_sha(root, paths):
+    listing = "".join(f"{p.relative_to(root)} {sha256_file(p)}\n"
+                      for p in paths)
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+def _python(*args):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    result = subprocess.run(
-        [sys.executable, "-c", CAMPAIGN, str(run_dir),
-         json.dumps(manifest_kwargs)],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=600)
+    result = subprocess.run([sys.executable, *args], cwd=REPO, env=env,
+                            capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return result.stdout
+
+
+def _profile_outputs(out):
+    _python("-m", "repro.cli", "profile", *PROFILE_ARGS, "--out", str(out),
+            "--json")
+    pcaps = sorted(out.rglob("*.pcap"))
+    return {
+        "journal": sha256_file(out / "journal.jsonl"),
+        "pcap_set": _listing_sha(out, pcaps),
+        "pcap_bytes": sum(p.stat().st_size for p in pcaps),
+        "csv_set": _listing_sha(out, sorted((out / "csv").glob("*.csv"))),
+    }
+
+
+def _campaign_outputs(run_dir, manifest_kwargs):
+    stdout = _python("-c", CAMPAIGN, str(run_dir), json.dumps(manifest_kwargs))
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def test_fixed_seed_campaign_outputs_are_pinned(tmp_path):
@@ -91,6 +130,10 @@ def test_fixed_seed_campaign_outputs_are_pinned(tmp_path):
 
 def test_serial_campaign_outputs_are_pinned(tmp_path):
     assert _campaign_outputs(tmp_path / "run", SERIAL) == GOLDEN_SERIAL
+
+
+def test_plain_profile_outputs_are_pinned(tmp_path):
+    assert _profile_outputs(tmp_path / "out") == GOLDEN_PROFILE
 
 
 def test_heap_entries_order_without_python_comparisons():
