@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis.dissect import DissectedFrame, Dissector
 from repro.obs import get_obs
@@ -26,9 +26,15 @@ ACAP_VERSION = 1
 _HEADER_LINE = f"#acap v{ACAP_VERSION}"
 
 
-@dataclass(frozen=True)
-class AcapRecord:
-    """One frame's abstraction."""
+class AcapRecord(NamedTuple):
+    """One frame's abstraction.
+
+    A ``NamedTuple``: a corpus holds one record per captured frame, and
+    a tuple is several times cheaper than a frozen dataclass to build,
+    to pickle across the Digest process pool and to hold in memory.  It
+    is immutable and picklable; unlike a dataclass it compares equal to
+    a plain tuple of the same field values.
+    """
 
     timestamp: float
     wire_len: int
@@ -142,6 +148,12 @@ _HTTP_METHODS = frozenset(
 
 class _Truncated(Exception):
     pass
+
+
+#: Builds an :class:`AcapRecord` from a tuple of all its field values in
+#: field order, skipping the generated ``__new__``'s argument binding.
+#: The Digest hot paths build one record per frame this way.
+_new_record = tuple.__new__
 
 
 def dissect_record(data: bytes, timestamp: float, wire_len: int) -> AcapRecord:
@@ -277,22 +289,10 @@ def dissect_record(data: bytes, timestamp: float, wire_len: int) -> AcapRecord:
                 stack.append("data")
     except _Truncated:
         truncated = True
-    return AcapRecord(
-        timestamp=timestamp,
-        wire_len=wire_len,
-        captured_len=n,
-        stack=tuple(stack),
-        vlan_ids=tuple(vlan_ids),
-        mpls_labels=tuple(mpls_labels),
-        ip_version=ip_version,
-        src=src,
-        dst=dst,
-        proto=proto,
-        sport=sport,
-        dport=dport,
-        tcp_flags=tcp_flags,
-        truncated=truncated,
-    )
+    return _new_record(AcapRecord, (
+        timestamp, wire_len, n, tuple(stack), tuple(vlan_ids),
+        tuple(mpls_labels), ip_version, src, dst, proto, sport, dport,
+        tcp_flags, truncated))
 
 
 def _classify_application(data: bytes, pos: int, n: int, sport: int,
@@ -401,58 +401,76 @@ def _encode_ints(values: Iterable[int]) -> str:
 
 
 def _decode_ints(text: str) -> Tuple[int, ...]:
-    if text == "-":
-        return ()
-    return tuple(int(v) for v in text.split(","))
+    """Inverse of :func:`_encode_ints` for a non-empty list."""
+    if "," in text:
+        return tuple(map(int, text.split(",")))
+    return (int(text),)
+
+
+def format_acap(acap: AcapFile) -> str:
+    """The text of an acap file: a header line, then one tab-separated
+    line per record."""
+    lines = [f"{_HEADER_LINE} source={acap.source}\n"]
+    lines += [
+        "\t".join([
+            f"{r.timestamp:.6f}", str(r.wire_len), str(r.captured_len),
+            "/".join(r.stack) or "-",
+            _encode_ints(r.vlan_ids), _encode_ints(r.mpls_labels),
+            str(r.ip_version), r.src or "-", r.dst or "-",
+            str(r.proto), str(r.sport), str(r.dport), str(r.tcp_flags),
+            "1" if r.truncated else "0",
+        ]) + "\n"
+        for r in acap.records
+    ]
+    return "".join(lines)
 
 
 def write_acap(acap: AcapFile, path: Union[str, Path]) -> Path:
-    """Write an acap file (tab-separated, one record per line)."""
+    """Write an acap file (:func:`format_acap`'s text)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
-        handle.write(f"{_HEADER_LINE} source={acap.source}\n")
-        for r in acap.records:
-            handle.write(
-                "\t".join([
-                    f"{r.timestamp:.6f}", str(r.wire_len), str(r.captured_len),
-                    "/".join(r.stack) or "-",
-                    _encode_ints(r.vlan_ids), _encode_ints(r.mpls_labels),
-                    str(r.ip_version), r.src or "-", r.dst or "-",
-                    str(r.proto), str(r.sport), str(r.dport), str(r.tcp_flags),
-                    "1" if r.truncated else "0",
-                ]) + "\n"
-            )
+        handle.write(format_acap(acap))
     return path
 
 
 def read_acap(path: Union[str, Path]) -> AcapFile:
-    """Read an acap file written by :func:`write_acap`."""
+    """Read an acap file written by :func:`write_acap`.
+
+    Header stacks and tag lists repeat from line to line, so each
+    distinct one is decoded once per file and its tuple shared by every
+    record that carries it.
+    """
     path = Path(path)
+    stacks = {"-": ()}
+    tags = {"-": ()}
     with open(path) as handle:
         header = handle.readline().rstrip("\n")
         if not header.startswith(_HEADER_LINE):
             raise ValueError(f"{path}: not an acap file")
         source = header.partition("source=")[2] or str(path)
         acap = AcapFile(source=source)
-        for line in handle:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 14:
-                raise ValueError(f"{path}: malformed acap line")
-            acap.records.append(AcapRecord(
-                timestamp=float(parts[0]),
-                wire_len=int(parts[1]),
-                captured_len=int(parts[2]),
-                stack=tuple(parts[3].split("/")) if parts[3] != "-" else (),
-                vlan_ids=_decode_ints(parts[4]),
-                mpls_labels=_decode_ints(parts[5]),
-                ip_version=int(parts[6]),
-                src=parts[7] if parts[7] != "-" else "",
-                dst=parts[8] if parts[8] != "-" else "",
-                proto=int(parts[9]),
-                sport=int(parts[10]),
-                dport=int(parts[11]),
-                tcp_flags=int(parts[12]),
-                truncated=parts[13] == "1",
-            ))
+        append = acap.records.append
+        try:
+            for line in handle:
+                (timestamp, wire_len, captured_len, stack, vlan_ids,
+                 mpls_labels, ip_version, src, dst, proto, sport, dport,
+                 tcp_flags, truncated) = line.rstrip("\n").split("\t")
+                stack_tuple = stacks.get(stack)
+                if stack_tuple is None:
+                    stack_tuple = stacks[stack] = tuple(stack.split("/"))
+                vlan_tuple = tags.get(vlan_ids)
+                if vlan_tuple is None:
+                    vlan_tuple = tags[vlan_ids] = _decode_ints(vlan_ids)
+                mpls_tuple = tags.get(mpls_labels)
+                if mpls_tuple is None:
+                    mpls_tuple = tags[mpls_labels] = _decode_ints(mpls_labels)
+                append(_new_record(AcapRecord, (
+                    float(timestamp), int(wire_len), int(captured_len),
+                    stack_tuple, vlan_tuple, mpls_tuple, int(ip_version),
+                    src if src != "-" else "", dst if dst != "-" else "",
+                    int(proto), int(sport), int(dport), int(tcp_flags),
+                    truncated == "1")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed acap line") from exc
     return acap

@@ -11,8 +11,10 @@ changes its key, so stale entries are never served.
 
 Cache entries are ordinary acap files (:func:`repro.analysis.acap.write_acap`
 format), laid out ``<cache_dir>/<key[:2]>/<key>.acap`` so a directory
-never collects millions of siblings.  Corrupt or unreadable entries are
-treated as misses and dropped.
+never collects millions of siblings.  An entry is written to a temporary
+file and renamed into place, so a process that dies mid-write leaves no
+entry rather than a shorter, still parseable one.  Corrupt or unreadable
+entries are treated as misses and dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.analysis.acap import AcapFile, read_acap, write_acap
+from repro.analysis.acap import AcapFile, format_acap, read_acap
+from repro.util.atomio import atomic_write_text
 
 # How many leading bytes participate in the key.  Covers the pcap
 # global header plus the first few record headers -- enough to tell
@@ -88,10 +91,9 @@ class AcapCache:
         return acap
 
     def put(self, pcap_path: Union[str, Path], acap: AcapFile) -> Path:
-        """Store ``acap`` as the digest of ``pcap_path``."""
+        """Store ``acap`` as the digest of ``pcap_path``, atomically."""
         entry = self.entry_path(self.key_for(pcap_path))
-        write_acap(acap, entry)
-        return entry
+        return atomic_write_text(entry, format_acap(acap))
 
     # -- invalidation ------------------------------------------------------
 

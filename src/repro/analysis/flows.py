@@ -8,19 +8,32 @@ conversations with identical 5-tuples in different slices never merge.
 
 Keys are direction-normalized so a flow's two directions count as one
 flow, matching how flow counts are usually reported.
+
+The Analyze step classifies a corpus's frames into plain accumulators
+and builds one :class:`FlowKey` and :class:`FlowStats` per *aggregated*
+flow at the end (DESIGN.md §18).  :func:`sample_flows` is the one
+per-record pass: it maps each :func:`flow_key` -- a flat tuple, so one
+allocation per frame -- to ``[frames, wire_bytes, first_seen,
+last_seen, tcp_flags_or, samples]``.  :func:`merge_flows` pieces samples
+together and :func:`flow_stats` lifts the result; :func:`classify_flows`
+and :func:`aggregate_flows` are those steps over records and over
+``FlowStats`` respectively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.analysis.acap import AcapRecord
 from repro.packets.headers import TCP_FIN, TCP_RST, TCP_SYN
 
+#: A flow accumulator: ``[frames, wire_bytes, first_seen, last_seen,
+#: tcp_flags_or, samples]``.
+FlowAccumulator = List
 
-@dataclass(frozen=True)
-class FlowKey:
+
+class FlowKey(NamedTuple):
     """The classification key: tags + network + transport fields."""
 
     vlan_ids: Tuple[int, ...]
@@ -33,17 +46,37 @@ class FlowKey:
     @classmethod
     def from_record(cls, record: AcapRecord) -> "FlowKey":
         """Build the direction-normalized key for one acap record."""
-        side_src = (record.src, record.sport)
-        side_dst = (record.dst, record.dport)
-        a, b = (side_src, side_dst) if side_src <= side_dst else (side_dst, side_src)
-        return cls(
-            vlan_ids=record.vlan_ids,
-            mpls_labels=tuple(sorted(record.mpls_labels)),
-            ip_version=record.ip_version,
-            endpoint_a=a,
-            endpoint_b=b,
-            proto=record.proto,
-        )
+        return _lift(flow_key(
+            record.vlan_ids, record.mpls_labels, record.ip_version,
+            record.src, record.sport, record.dst, record.dport, record.proto))
+
+
+def flow_key(vlan_ids: Tuple[int, ...], mpls_labels: Tuple[int, ...],
+             ip_version: int, src: str, sport: int, dst: str, dport: int,
+             proto: int) -> tuple:
+    """The direction-normalized key, flat: ``(vlan_ids, mpls_labels,
+    ip_version, address_a, port_a, address_b, port_b, proto)``.
+
+    The lower ``(address, port)`` side comes first and the MPLS labels
+    are sorted, so a flow's two directions, and its labels in either
+    stack order, share one key.
+    """
+    if len(mpls_labels) > 1:
+        mpls_labels = tuple(sorted(mpls_labels))
+    if src < dst or (src == dst and sport <= dport):
+        return (vlan_ids, mpls_labels, ip_version, src, sport, dst, dport, proto)
+    return (vlan_ids, mpls_labels, ip_version, dst, dport, src, sport, proto)
+
+
+def _lift(flat: tuple) -> FlowKey:
+    vlan_ids, mpls_labels, ip_version, addr_a, port_a, addr_b, port_b, proto = flat
+    return FlowKey(vlan_ids, mpls_labels, ip_version, (addr_a, port_a),
+                   (addr_b, port_b), proto)
+
+
+def _flatten(key: FlowKey) -> tuple:
+    vlan_ids, mpls_labels, ip_version, (addr_a, port_a), (addr_b, port_b), proto = key
+    return (vlan_ids, mpls_labels, ip_version, addr_a, port_a, addr_b, port_b, proto)
 
 
 @dataclass
@@ -66,18 +99,6 @@ class FlowStats:
             return 0.0
         return max(0.0, self.last_seen - self.first_seen)
 
-    def add(self, record: AcapRecord) -> None:
-        self.frames += 1
-        self.wire_bytes += record.wire_len
-        self.first_seen = min(self.first_seen, record.timestamp)
-        self.last_seen = max(self.last_seen, record.timestamp)
-        if record.tcp_flags & TCP_SYN:
-            self.syn_seen = True
-        if record.tcp_flags & TCP_FIN:
-            self.fin_seen = True
-        if record.tcp_flags & TCP_RST:
-            self.rst_seen = True
-
     def merge(self, other: "FlowStats") -> None:
         """Piece a snippet from another sample into this flow."""
         if other.key != self.key:
@@ -92,23 +113,74 @@ class FlowStats:
         self.samples += other.samples
 
 
-def classify_flows(records: Iterable[AcapRecord]) -> Dict[FlowKey, FlowStats]:
-    """Group one sample's records into flows.
+def sample_flows(records: Iterable[AcapRecord]) -> Dict[tuple, FlowAccumulator]:
+    """Group one sample's records into flow accumulators.
 
     Non-IP records (ARP, unparseable) are excluded -- they have no
-    transport-layer identity to classify on.
+    transport-layer identity to classify on.  Every accumulator counts
+    one sample.
     """
-    flows: Dict[FlowKey, FlowStats] = {}
-    for record in records:
-        if not record.is_ip:
+    flows: Dict[tuple, FlowAccumulator] = {}
+    get = flows.get
+    for (timestamp, wire_len, _captured, _stack, vlan_ids, mpls_labels,
+         ip_version, src, dst, proto, sport, dport, tcp_flags,
+         _truncated) in records:
+        if ip_version != 4 and ip_version != 6:
             continue
-        key = FlowKey.from_record(record)
-        stats = flows.get(key)
-        if stats is None:
-            stats = FlowStats(key=key)
-            flows[key] = stats
-        stats.add(record)
+        key = flow_key(vlan_ids, mpls_labels, ip_version, src, sport, dst,
+                       dport, proto)
+        acc = get(key)
+        if acc is None:
+            flows[key] = [1, wire_len, timestamp, timestamp, tcp_flags, 1]
+        else:
+            acc[0] += 1
+            acc[1] += wire_len
+            if timestamp < acc[2]:
+                acc[2] = timestamp
+            if timestamp > acc[3]:
+                acc[3] = timestamp
+            acc[4] |= tcp_flags
     return flows
+
+
+def merge_flows(merged: Dict[tuple, FlowAccumulator],
+                sample: Dict[tuple, FlowAccumulator]) -> None:
+    """Piece one sample's accumulators into ``merged``, by key.
+
+    ``merged`` adopts the sample's accumulator lists, so the sample
+    must not be used afterwards.
+    """
+    get = merged.get
+    for key, acc in sample.items():
+        into = get(key)
+        if into is None:
+            merged[key] = acc
+        else:
+            into[0] += acc[0]
+            into[1] += acc[1]
+            if acc[2] < into[2]:
+                into[2] = acc[2]
+            if acc[3] > into[3]:
+                into[3] = acc[3]
+            into[4] |= acc[4]
+            into[5] += acc[5]
+
+
+def flow_stats(flows: Dict[tuple, FlowAccumulator]) -> Dict[FlowKey, FlowStats]:
+    """One :class:`FlowStats` per accumulator; a flag is seen if any of
+    the flow's frames carried it."""
+    stats: Dict[FlowKey, FlowStats] = {}
+    for flat, (frames, wire_bytes, first, last, flags, samples) in flows.items():
+        key = _lift(flat)
+        stats[key] = FlowStats(key, frames, wire_bytes, first, last,
+                               bool(flags & TCP_SYN), bool(flags & TCP_FIN),
+                               bool(flags & TCP_RST), samples)
+    return stats
+
+
+def classify_flows(records: Iterable[AcapRecord]) -> Dict[FlowKey, FlowStats]:
+    """Group one sample's records into flows (see :func:`sample_flows`)."""
+    return flow_stats(sample_flows(records))
 
 
 def aggregate_flows(per_sample: Iterable[Dict[FlowKey, FlowStats]]) -> Dict[FlowKey, FlowStats]:
@@ -118,25 +190,14 @@ def aggregate_flows(per_sample: Iterable[Dict[FlowKey, FlowStats]]) -> Dict[Flow
     aggregate; this is the analysis behind "most flows are short ...
     but some flows were around 100 GB in size".
     """
-    merged: Dict[FlowKey, FlowStats] = {}
+    merged: Dict[tuple, FlowAccumulator] = {}
     for sample in per_sample:
-        for key, stats in sample.items():
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = FlowStats(
-                    key=key,
-                    frames=stats.frames,
-                    wire_bytes=stats.wire_bytes,
-                    first_seen=stats.first_seen,
-                    last_seen=stats.last_seen,
-                    syn_seen=stats.syn_seen,
-                    fin_seen=stats.fin_seen,
-                    rst_seen=stats.rst_seen,
-                    samples=stats.samples,
-                )
-            else:
-                existing.merge(stats)
-    return merged
+        merge_flows(merged, {
+            _flatten(key): [s.frames, s.wire_bytes, s.first_seen, s.last_seen,
+                            TCP_SYN * s.syn_seen | TCP_FIN * s.fin_seen
+                            | TCP_RST * s.rst_seen, s.samples]
+            for key, s in sample.items()})
+    return flow_stats(merged)
 
 
 def flows_per_sample_counts(per_sample: Iterable[Dict[FlowKey, FlowStats]]) -> List[int]:

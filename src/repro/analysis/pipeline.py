@@ -26,29 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.analysis.acap import AcapFile, AcapRecord, digest_pcap, write_acap
+from repro.analysis.acap import AcapFile, digest_pcap, write_acap
+from repro.analysis.analyze import ProfileAccumulator
 from repro.analysis.cache import AcapCache
-from repro.analysis.analyze import ip_version_shares, jumbo_fraction
-from repro.analysis.flows import (
-    FlowKey,
-    FlowStats,
-    aggregate_flows,
-    classify_flows,
-    flows_per_sample_counts,
-)
+from repro.analysis.flows import FlowKey, FlowStats
 from repro.analysis.index import AcapIndex
+from repro.analysis.report import profile_tables
 from repro.obs import get_obs
 from repro.obs.ledger import CongestionScorecard
-from repro.analysis.report import (
-    aggregated_flow_size_table,
-    flows_per_sample_table,
-    frame_size_table,
-    header_diversity_table,
-    header_occurrence_table,
-    ip_version_table,
-    overall_frame_size_table,
-    tcp_flag_table,
-)
 from repro.util.tables import Table
 
 
@@ -363,33 +348,19 @@ class AnalysisPipeline:
         return report
 
     def _analyze(self) -> ProfileReport:
-        records_by_site: Dict[str, List[AcapRecord]] = {}
-        all_records: List[AcapRecord] = []
-        per_sample_flows = []
+        profile = ProfileAccumulator()
         for acap in self.acaps:
-            site = Path(acap.source).parent.name or "unknown"
-            records_by_site.setdefault(site, []).extend(acap.records)
-            all_records.extend(acap.records)
-            per_sample_flows.append(classify_flows(acap.records))
-        aggregated = aggregate_flows(per_sample_flows)
-        counts = flows_per_sample_counts(per_sample_flows)
-        report = ProfileReport(
-            total_frames=len(all_records),
-            sites=sorted(records_by_site),
-            ipv6_fraction=ip_version_shares(all_records)["ipv6"],
-            jumbo_fraction=jumbo_fraction(all_records),
-            flows_per_sample=counts,
+            profile.add(acap.records, Path(acap.source).parent.name or "unknown")
+        aggregated = profile.aggregated_flows()
+        return ProfileReport(
+            tables=profile_tables(profile, aggregated),
+            total_frames=profile.frames,
+            sites=profile.sites(),
+            ipv6_fraction=profile.ip_version_shares()["ipv6"],
+            jumbo_fraction=profile.jumbo_fraction(),
+            flows_per_sample=profile.flows_per_sample,
             aggregated_flows=aggregated,
         )
-        report.tables["frame_sizes_by_site"] = frame_size_table(records_by_site)
-        report.tables["frame_sizes_overall"] = overall_frame_size_table(all_records)
-        report.tables["header_occurrence"] = header_occurrence_table(all_records)
-        report.tables["header_diversity"] = header_diversity_table(records_by_site)
-        report.tables["ip_versions"] = ip_version_table(all_records)
-        report.tables["flows_per_sample"] = flows_per_sample_table(counts)
-        report.tables["aggregated_flow_sizes"] = aggregated_flow_size_table(aggregated)
-        report.tables["tcp_flags"] = tcp_flag_table(aggregated)
-        return report
 
     def run(self, pcap_paths: Sequence[Union[str, Path]]) -> ProfileReport:
         """Convenience: digest + index + analyze in one call."""

@@ -8,73 +8,103 @@ scripts to produce graphs or summary statistics."
 
 Each function here turns one analysis into a :class:`~repro.util.tables.Table`
 that can be rendered or written as CSV; the benchmark harnesses print
-these tables as the paper-figure reproductions.
+these tables as the paper-figure reproductions.  :func:`profile_tables`
+builds them all from one :class:`~repro.analysis.analyze.ProfileAccumulator`;
+the record-level builders run the same accumulator over their records.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.acap import AcapRecord
-from repro.analysis.analyze import (
-    frame_size_distribution,
-    header_occurrence,
-    ip_version_shares,
-    jumbo_fraction,
-    site_header_diversity,
-)
+from repro.analysis.analyze import ProfileAccumulator
 from repro.analysis.flows import FlowKey, FlowStats
 from repro.traffic.distributions import PAPER_FRAME_BINS
 from repro.util.tables import Table
 
 
+def profile_tables(profile: ProfileAccumulator,
+                   flows: Mapping[FlowKey, FlowStats]) -> Dict[str, Table]:
+    """Every table of the report, keyed by CSV name, from one profile
+    and its aggregated flows."""
+    return {
+        "frame_sizes_by_site": _frame_size_table(profile),
+        "frame_sizes_overall": _overall_frame_size_table(profile),
+        "header_occurrence": _header_occurrence_table(profile),
+        "header_diversity": _header_diversity_table(profile),
+        "ip_versions": _ip_version_table(profile),
+        "flows_per_sample": flows_per_sample_table(profile.flows_per_sample),
+        "aggregated_flow_sizes": aggregated_flow_size_table(flows),
+        "tcp_flags": tcp_flag_table(flows),
+    }
+
+
 def frame_size_table(records_by_site: Mapping[str, Sequence[AcapRecord]]) -> Table:
     """Fig 15: per-site frame-size distribution (plus jumbo share)."""
-    labels = PAPER_FRAME_BINS.labels()
-    table = Table(["site"] + labels + ["jumbo_fraction"],
-                  title="Frame-size distribution by site")
-    for site in sorted(records_by_site):
-        records = list(records_by_site[site])
-        dist = frame_size_distribution(records)
-        table.add_row([site] + [round(dist[label], 5) for label in labels]
-                      + [round(jumbo_fraction(records), 5)])
-    return table
+    return _frame_size_table(ProfileAccumulator.of_sites(records_by_site))
 
 
 def overall_frame_size_table(records: Sequence[AcapRecord]) -> Table:
     """Section 8.2's headline frame-size shares, aggregated."""
-    dist = frame_size_distribution(records)
-    table = Table(["size_bin", "fraction"], title="Frame sizes (all sites)")
-    for label, fraction in dist.items():
-        table.add_row([label, round(fraction, 5)])
-    return table
+    return _overall_frame_size_table(ProfileAccumulator.of(records))
 
 
 def header_occurrence_table(records: Sequence[AcapRecord]) -> Table:
     """Fig 12: occurrence of protocol headers (percent of frames)."""
+    return _header_occurrence_table(ProfileAccumulator.of(records))
+
+
+def header_diversity_table(records_by_site: Mapping[str, Sequence[AcapRecord]]) -> Table:
+    """Fig 11: distinct headers and deepest stack per (anonymized) site."""
+    return _header_diversity_table(ProfileAccumulator.of_sites(records_by_site))
+
+
+def ip_version_table(records: Sequence[AcapRecord]) -> Table:
+    """Finding B6: IPv4 dominance."""
+    return _ip_version_table(ProfileAccumulator.of(records))
+
+
+def _frame_size_table(profile: ProfileAccumulator) -> Table:
+    labels = PAPER_FRAME_BINS.labels()
+    table = Table(["site"] + labels + ["jumbo_fraction"],
+                  title="Frame-size distribution by site")
+    for site in profile.sites():
+        dist = profile.frame_size_distribution(site)
+        table.add_row([site] + [round(dist[label], 5) for label in labels]
+                      + [round(profile.jumbo_fraction(site), 5)])
+    return table
+
+
+def _overall_frame_size_table(profile: ProfileAccumulator) -> Table:
+    table = Table(["size_bin", "fraction"], title="Frame sizes (all sites)")
+    for label, fraction in profile.frame_size_distribution().items():
+        table.add_row([label, round(fraction, 5)])
+    return table
+
+
+def _header_occurrence_table(profile: ProfileAccumulator) -> Table:
     table = Table(["header", "percent_of_frames"],
                   title="Occurrence of protocol headers")
-    occurrence = header_occurrence(records)
+    occurrence = profile.header_occurrence()
     for name, percent in sorted(occurrence.items(), key=lambda kv: -kv[1]):
         table.add_row([name, round(percent, 3)])
     return table
 
 
-def header_diversity_table(records_by_site: Mapping[str, Sequence[AcapRecord]]) -> Table:
-    """Fig 11: distinct headers and deepest stack per (anonymized) site."""
+def _header_diversity_table(profile: ProfileAccumulator) -> Table:
     table = Table(["site", "distinct_headers", "max_stack_depth", "frames"],
                   title="Per-site protocol diversity")
-    for d in site_header_diversity(records_by_site):
+    for d in profile.header_diversity():
         table.add_row([d.site, d.distinct_headers, d.max_stack_depth, d.frames])
     return table
 
 
-def ip_version_table(records: Sequence[AcapRecord]) -> Table:
-    """Finding B6: IPv4 dominance."""
+def _ip_version_table(profile: ProfileAccumulator) -> Table:
     table = Table(["family", "fraction"], title="IP version shares")
-    for family, fraction in ip_version_shares(records).items():
+    for family, fraction in profile.ip_version_shares().items():
         table.add_row([family, round(fraction, 5)])
     return table
 

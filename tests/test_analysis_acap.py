@@ -110,3 +110,75 @@ class TestSerialization:
         text = path.read_text()
         assert "eth/vlan/mpls" in text
         assert "10.1.2.3" in text
+
+
+class TestRecordContract:
+    """What the Digest process pool, the acap cache and the Analyze
+    step rely on from :class:`AcapRecord`."""
+
+    FIELDS = ("timestamp", "wire_len", "captured_len", "stack", "vlan_ids",
+              "mpls_labels", "ip_version", "src", "dst", "proto", "sport",
+              "dport", "tcp_flags", "truncated")
+
+    def test_positional_field_order_is_pinned(self):
+        assert AcapRecord._fields == self.FIELDS
+        values = (1.5, 1544, 200, ("eth", "ipv4", "tcp"), (301,),
+                  (17001, 17000), 4, "10.0.0.1", "10.0.0.2", 6, 50000, 443,
+                  0x12, True)
+        record = AcapRecord(*values)
+        assert tuple(record) == values
+        assert [getattr(record, name) for name in self.FIELDS] == list(values)
+
+    def test_defaults(self):
+        record = AcapRecord(0.0, 60, 60, ("eth", "arp"))
+        assert record[4:] == ((), (), 0, "", "", 0, 0, 0, 0, False)
+        assert not record.is_ip
+        assert record.depth == 2
+
+    def test_assignment_raises(self):
+        record = make_record()
+        with pytest.raises(AttributeError):
+            record.wire_len = 1
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_pickle_round_trip(self, tmp_path):
+        import pickle
+
+        path = tmp_path / "c.pcap"
+        with PcapWriter(path, snaplen=200) as writer:
+            for i in range(3):
+                writer.write(PcapRecord(i * 0.1, tls_frame(), orig_len=1544))
+        records = digest_pcap(path).records + [make_record()]
+        loaded = pickle.loads(pickle.dumps(records))
+        assert loaded == records
+        assert all(type(r) is AcapRecord for r in loaded)
+
+    def test_write_read_round_trip_with_empty_fields(self, tmp_path):
+        records = [
+            AcapRecord(0.0, 60, 0, ()),
+            AcapRecord(1.000001, 64, 54, ("eth", "vlan", "mpls", "mpls"),
+                       vlan_ids=(4095,), mpls_labels=(17001, 16000),
+                       truncated=True),
+            AcapRecord(2.5, 9014, 200, ("eth", "ipv6", "udp", "dns", "data"),
+                       vlan_ids=(100, 200), ip_version=6, src="2001:db8::1",
+                       dst="2001:db8:1::2", proto=17, sport=53, dport=40000),
+            AcapRecord(3.25, 60, 60, ("eth", "ipv4"), ip_version=4,
+                       src="10.0.0.1", dst="", proto=6, tcp_flags=0x3F),
+        ]
+        path = write_acap(AcapFile("s", records), tmp_path / "e.acap")
+        loaded = read_acap(path).records
+        assert loaded == records
+        assert all(type(r) is AcapRecord for r in loaded)
+        # Repeated stacks and tag lists decode to one shared tuple.
+        twice = read_acap(write_acap(AcapFile("s", records * 2),
+                                     tmp_path / "twice.acap")).records
+        assert twice[1].stack is twice[5].stack
+        assert twice[2].vlan_ids is twice[6].vlan_ids
+
+    def test_malformed_field_is_a_value_error(self, tmp_path):
+        path = write_acap(AcapFile("s", [make_record()]), tmp_path / "m.acap")
+        text = path.read_text().replace("\t1544\t", "\tbig\t")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed acap line"):
+            read_acap(path)

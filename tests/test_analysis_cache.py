@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.analysis.acap import digest_pcap
+from repro.analysis import AnalysisPipeline
+from repro.analysis.acap import digest_pcap, write_acap
 from repro.analysis.cache import AcapCache
 from repro.packets.builder import FrameBuilder, FrameSpec
 from repro.packets.headers import Ethernet, IPv4, Payload, TCP
@@ -119,3 +120,42 @@ class TestCorruption:
         assert cache.get(pcap) is None
         assert not entry.exists()  # corrupt entry evicted
         assert cache.misses == 1
+
+
+class TestAtomicPut:
+    """A ``put`` that dies before its rename leaves no entry behind, so
+    the next lookup misses instead of serving a shorter acap."""
+
+    @staticmethod
+    def _interrupted_put(cache, pcap, monkeypatch):
+        def die(src, dst):
+            raise OSError("process died before the rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", die)
+            with pytest.raises(OSError):
+                cache.put(pcap, digest_pcap(pcap))
+
+    def test_interrupted_put_leaves_no_entry(self, cache, tmp_path, monkeypatch):
+        pcap = write_pcap(tmp_path / "ten.pcap", n=10)
+        self._interrupted_put(cache, pcap, monkeypatch)
+        assert not cache.entry_path(AcapCache.key_for(pcap)).exists()
+        assert len(cache) == 0
+        assert cache.get(pcap) is None
+
+    def test_next_pipeline_run_redigests_every_frame(self, cache, tmp_path,
+                                                      monkeypatch):
+        pcap = write_pcap(tmp_path / "ten.pcap", n=10)
+        self._interrupted_put(cache, pcap, monkeypatch)
+        pipeline = AnalysisPipeline(cache_dir=cache.cache_dir)
+        report = pipeline.run([pcap])
+        assert (pipeline.stats.cache_hits, pipeline.stats.cache_misses) == (0, 1)
+        assert report.total_frames == 10
+        warm = AnalysisPipeline(cache_dir=cache.cache_dir)
+        assert warm.run([pcap]).total_frames == 10
+        assert warm.stats.cache_hits == 1
+
+    def test_entry_bytes_are_the_acap_file_format(self, cache, pcap, tmp_path):
+        acap = digest_pcap(pcap)
+        entry = cache.put(pcap, acap)
+        assert entry.read_bytes() == write_acap(acap, tmp_path / "x.acap").read_bytes()
