@@ -6,8 +6,11 @@ the reproduction's workflows the same way:
 ``python -m repro study``
     Run the Section-5 infrastructure study and print the Fig 2-6 data.
 ``python -m repro profile``
-    Build a testbed with traffic, run one Patchwork occasion, analyze
-    the captures, and write CSV tables (+ SVG charts) to the output dir.
+    Run a crash-safe profiling campaign (one occasion by default) in the
+    output dir -- WAL, checkpoints, ``journal.jsonl``, ``records.json``
+    -- then analyze its committed captures and write CSV tables (+ SVG
+    charts), ``metrics.prom`` and per-site ``gathered/`` archives.
+    ``--resume RUN_DIR`` continues an interrupted run.
 ``python -m repro campaign``
     Run a Fig 10-style campaign under injected disturbances.
 ``python -m repro analyze PCAP [PCAP ...]``
@@ -56,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--seed", type=int, default=11)
     study.add_argument("--weeks", type=int, default=52)
 
-    profile = sub.add_parser("profile", help="run one profiling occasion")
+    profile = sub.add_parser(
+        "profile", help="run a resumable profiling campaign and report on it")
     profile.add_argument("--sites", nargs="*", default=None,
                          help="sites to profile (default: a 4-site testbed)")
     profile.add_argument("--out", type=Path, default=Path("patchwork-out"))
@@ -90,12 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable the content-addressed acap cache")
     profile.add_argument("--json", action="store_true",
                          help="print a machine-readable JSON summary")
-    profile.add_argument("--durable", action="store_true",
-                         help="run as a crash-safe campaign: WAL + "
-                              "checkpoints in the output dir, resumable "
-                              "with --resume")
     profile.add_argument("--occasions", type=int, default=1,
-                         help="occasions to run (durable mode only)")
+                         help="occasions to run")
     profile.add_argument("--traffic-span", type=float, default=0.0,
                          help="seconds of traffic to generate per occasion "
                               "(0 = cover the whole sampling plan)")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="run each site's instance in its own shard "
                               "world and merge the journals "
-                              "deterministically (implies --durable); N > 1 "
+                              "deterministically; N > 1 "
                               "fans shards over a process pool, and the "
                               "merged output is byte-identical at any N")
     profile.add_argument("--resume", type=Path, default=None, metavar="RUN_DIR",
@@ -320,147 +320,82 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cpu_workers(workers: int) -> int:
+    """Resolve a ``--workers`` value: 0 means one per CPU."""
+    return workers if workers > 0 else (os.cpu_count() or 1)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.resume is not None or args.durable or args.shard_workers > 0:
-        return _cmd_profile_durable(args)
-    from repro.analysis import AnalysisPipeline, Anonymizer
-    from repro.capture.session import CaptureMethod
-    from repro.core import (AnalysisConfig, Coordinator, PatchworkConfig,
-                            SamplingPlan, TelemetryConfig)
-    from repro.core.sharding import traffic_world
-    from repro.obs import Observability, scoped, to_prometheus
-
-    sites = args.sites or ["STAR", "MICH", "UTAH", "TACC"]
-    plan = SamplingPlan(
-        sample_duration=args.sample_duration,
-        sample_interval=args.sample_interval,
-        samples_per_run=args.samples, runs_per_cycle=1, cycles=args.cycles)
-    # Traffic seed 7 is quickstart_federation's default.
-    federation, api, poller = traffic_world(
-        sites, {"world": args.seed, "traffic": 7}, args.scale, plan,
-        len(sites), args.traffic_span)
-    transform = Anonymizer().transform if args.anonymize else None
-    config = PatchworkConfig(
-        output_dir=args.out, plan=plan, desired_instances=args.instances,
-        snaplen=args.snaplen, capture_method=CaptureMethod(args.method),
-        transform=transform,
-        analysis=AnalysisConfig(max_workers=args.workers,
-                                cache_enabled=not args.no_cache),
-        telemetry=TelemetryConfig(enabled=args.telemetry_queries,
-                                  window=args.telemetry_window,
-                                  seed=args.seed))
-    quiet = args.json
-
-    def say(text: str) -> None:
-        if not quiet:
-            print(text)
-
-    with scoped(Observability.create(sim=federation.sim)) as obs:
-        bundle = Coordinator(api, config, poller=poller).run_profile()
-        for record in bundle.run_records:
-            say(f"{record.site}: {record.outcome.value} "
-                f"({record.samples_taken} samples, {record.pcap_files} pcaps)")
-        bundle.write_logs(args.out / "logs")
-        from repro.core.gather import gather_bundle
-        gathered = gather_bundle(bundle, args.out / "gathered")
-        for site_bundle in gathered:
-            say(f"gathered {site_bundle.site}: "
-                f"{site_bundle.archive_path.name} "
-                f"({site_bundle.compression_ratio:.1f}x compression)")
-        pipeline = AnalysisPipeline.from_config(config)
-        report = pipeline.run(bundle.pcap_paths)
-        from repro.obs.ledger import attach_digests
-        attach_digests(bundle.ledgers, pipeline.acaps)
-        report.scorecard = bundle.scorecard
-        # Final snapshot so `repro obs export` sees the analysis
-        # counters too, not just the capture-phase ones.
-        obs.snapshot_to_journal()
-        journal_path = obs.journal.write(args.out / "journal.jsonl")
-        metrics_path = args.out / "metrics.prom"
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(to_prometheus(obs.registry))
-    say(f"\n{report.total_frames} frames captured across "
-        f"{len(report.sites)} sites")
-    if report.stats is not None:
-        say(report.stats.render())
-    say(report.tables["frame_sizes_overall"].render())
-    csvs = report.write_csvs(args.out / "csv")
-    say(f"\nwrote {len(csvs)} CSVs under {args.out / 'csv'}")
-    if report.scorecard is not None and report.scorecard.samples:
-        say(f"congestion detector: {report.scorecard.describe()}")
-    say(f"wrote run journal to {journal_path} "
-        f"(inspect with: repro obs dump {journal_path}, "
-        f"audit with: repro audit {journal_path})")
-    if args.charts:
-        from repro.analysis.visualize import render_report_charts
-        charts = render_report_charts(report, args.out / "charts")
-        say(f"wrote {len(charts)} charts under {args.out / 'charts'}")
-    if args.json:
-        print(json.dumps({
-            "runs": [
-                {"site": r.site, "outcome": r.outcome.value,
-                 "samples_taken": r.samples_taken, "pcap_files": r.pcap_files,
-                 "retries": r.retries, "restarts": r.restarts,
-                 "redispatched": r.redispatched}
-                for r in bundle.run_records
-            ],
-            "report": report.to_dict(include_tables=False),
-            "journal": str(journal_path),
-            "metrics": str(metrics_path),
-        }, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_profile_durable(args: argparse.Namespace) -> int:
-    """``repro profile --durable`` / ``repro profile --resume RUN_DIR``."""
+    """``repro profile``: run (or ``--resume``) a durable campaign, then
+    derive the report, ``metrics.prom`` and ``gathered/`` from its run
+    directory."""
     from repro.core.campaign import CampaignManifest, CampaignRunner
     from repro.core.checkpoint import WalCorruptionError
 
     shard_workers = max(args.shard_workers, 1)
-    if args.resume is not None:
-        if not (args.resume / "campaign.manifest").exists() and \
-                not (args.resume / "campaign.wal").exists():
-            print(f"error: {args.resume} is not a campaign run directory",
+    resume = args.resume is not None
+    if resume:
+        run_dir = args.resume
+        if not (run_dir / "campaign.manifest").exists() and \
+                not (run_dir / "campaign.wal").exists():
+            print(f"error: {run_dir} is not a campaign run directory",
                   file=sys.stderr)
             return 2
-        try:
-            summary = CampaignRunner(args.resume,
-                                     shard_workers=shard_workers) \
-                .run(resume=True, salvage=args.salvage)
-        except FileNotFoundError as exc:
-            # e.g. a WAL with no manifest: resumable only if the
-            # original manifest is restored, not from the CLI alone.
-            print(f"error: cannot resume {args.resume}: {exc}",
-                  file=sys.stderr)
-            return 2
-        except WalCorruptionError as exc:
-            print(f"error: cannot resume {args.resume}: {exc}",
-                  file=sys.stderr)
-            return 2
+        runner = CampaignRunner(run_dir, shard_workers=shard_workers)
+        # e.g. a WAL with no manifest: resumable only if the original
+        # manifest is restored, not from the CLI alone.
+        refusals = (FileNotFoundError, WalCorruptionError)
     else:
-        sites = tuple(args.sites or ["STAR", "MICH", "UTAH", "TACC"])
+        run_dir = args.out
         manifest = CampaignManifest(
-            seed=args.seed, sites=sites, occasions=args.occasions,
+            seed=args.seed, sites=tuple(args.sites or
+                                        ["STAR", "MICH", "UTAH", "TACC"]),
+            occasions=args.occasions,
             traffic_scale=args.scale, sample_duration=args.sample_duration,
             sample_interval=args.sample_interval,
             samples_per_run=args.samples, runs_per_cycle=1,
             cycles=args.cycles, desired_instances=args.instances,
             snaplen=args.snaplen, method=args.method,
-            workers=max(args.workers, 1),
+            workers=_cpu_workers(args.workers),
             cache_enabled=not args.no_cache,
             traffic_span=args.traffic_span,
             sharded=args.shard_workers > 0,
             telemetry_queries=args.telemetry_queries,
-            telemetry_window=args.telemetry_window)
-        summary = CampaignRunner(args.out, manifest=manifest,
-                                 shard_workers=shard_workers).run()
+            telemetry_window=args.telemetry_window,
+            anonymize=args.anonymize)
+        runner = CampaignRunner(run_dir, manifest=manifest,
+                                shard_workers=shard_workers)
+        # The output dir already holds a (possibly different) campaign.
+        refusals = (FileExistsError, WalCorruptionError)
+    try:
+        summary = runner.run(resume=resume, salvage=args.salvage)
+    except refusals as exc:
+        if resume:
+            print(f"error: cannot resume {run_dir}: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}\nto continue it, run `repro profile "
+                  f"--resume {run_dir}`; to start a new campaign, pass "
+                  "another --out", file=sys.stderr)
+        return 2
+    report, notes = _profile_outputs(runner, args.charts)
+    runs = json.loads((run_dir / "records.json").read_text())["records"]
     if args.json:
-        print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps({
+            **summary.to_dict(),
+            "runs": runs,
+            "report": report.to_dict(include_tables=False),
+            "journal": summary.journal_path,
+            "metrics": str(run_dir / "metrics.prom"),
+        }, indent=2, sort_keys=True))
         return 0 if summary.audit_ok else 1
     if summary.noop:
         print(f"campaign in {summary.run_dir} is already complete "
-              f"({len(summary.skipped)} occasions); nothing to do")
+              f"({len(summary.skipped)} occasions); nothing to run")
         return 0
+    for row in runs:
+        print(f"{row['site']}: {row['outcome']} ({row['samples_taken']} "
+              f"samples, {row['pcap_files']} pcaps, occasion "
+              f"{row['occasion']})")
     for label, occasions in (("ran", summary.executed),
                              ("skipped (already committed)", summary.skipped),
                              ("salvaged", summary.salvaged)):
@@ -470,12 +405,52 @@ def _cmd_profile_durable(args: argparse.Namespace) -> int:
         print("warning: the WAL had a torn tail (crash mid-append); "
               "it was truncated to the last committed record",
               file=sys.stderr)
+    print(f"\n{report.total_frames} frames captured across "
+          f"{len(report.sites)} sites")
+    if report.stats is not None:
+        print(report.stats.render())
+    print(report.tables["frame_sizes_overall"].render())
+    print("\n" + "\n".join(notes))
     print(f"success rate: {summary.success_rate:.1%}; "
           f"audit {'ok' if summary.audit_ok else 'FAILED'}")
     print(f"wrote {summary.journal_path} "
           f"(sha256 {summary.journal_sha256[:16]}...)")
     print(f"resume with: repro profile --resume {summary.run_dir}")
     return 0 if summary.audit_ok else 1
+
+
+def _profile_outputs(runner, charts: bool):
+    """Derive a finished campaign's report, metrics and archives.
+
+    The report covers exactly the pcaps the committed occasions name
+    (a crashed attempt can leave uncommitted pcaps on disk), digested
+    through the run's own acap cache.  ``metrics.prom`` renders the
+    final journal's last metrics snapshot; each ``captures/<site>``
+    directory is gathered with that site's instance logs.  Returns
+    ``(report, notes)`` as :func:`_analyze_into` does.
+    """
+    from repro.core.checkpoint import WAL_NAME, fold_records, read_wal
+    from repro.core.gather import gather_site
+    from repro.obs import RunJournal, to_prometheus
+
+    run_dir, manifest = runner.run_dir, runner.manifest
+    records, torn, _valid = read_wal(run_dir / WAL_NAME)
+    committed = fold_records(records, torn=torn).committed
+    pcaps = [run_dir / rel for occasion in sorted(committed)
+             for rel in sorted(committed[occasion].get("pcaps") or {})]
+    cache_dir = run_dir / "acap-cache" if manifest.cache_enabled else None
+    report, notes = _analyze_into(pcaps, run_dir, manifest.workers,
+                                  cache_dir, charts)
+    registry = _final_metrics(RunJournal.read(runner.journal_path))
+    (run_dir / "metrics.prom").write_text(
+        to_prometheus(registry) if registry is not None else "")
+    for site_dir in sorted(p for p in (run_dir / "captures").glob("*")
+                           if p.is_dir()):
+        logs = sorted((run_dir / "logs").glob(
+            f"occ*/{site_dir.name}/instance.log"))
+        gather_site(site_dir.name, site_dir, run_dir / "gathered",
+                    "".join(log.read_text() for log in logs) or None)
+    return report, notes
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
@@ -555,41 +530,54 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.analysis import AnalysisPipeline
-
     missing = [p for p in args.pcaps if not p.exists()]
     if missing:
         print(f"error: no such pcap: {missing[0]}", file=sys.stderr)
         return 2
-    acap_dir = args.out / "acap" if args.out else None
     cache_dir = None
     if not args.no_cache:
         if args.cache_dir is not None:
             cache_dir = args.cache_dir
         elif args.out is not None:
             cache_dir = args.out / "acap-cache"
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    pipeline = AnalysisPipeline(acap_dir=acap_dir, max_workers=workers,
-                                cache_dir=cache_dir)
-    report = pipeline.run(args.pcaps)
+    report, notes = _analyze_into(args.pcaps, args.out,
+                                  _cpu_workers(args.workers), cache_dir,
+                                  args.charts)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-        if report.stats is not None:
-            print(f"\n{report.stats.render()}")
-    if args.out:
-        csvs = report.write_csvs(args.out / "csv")
-        if not args.json:
-            print(f"\nwrote {len(csvs)} CSVs under {args.out / 'csv'}")
-        if args.charts:
-            from repro.analysis.visualize import render_report_charts
-            charts = render_report_charts(report, args.out / "charts")
-            if not args.json:
-                print(f"wrote {len(charts)} charts under {args.out / 'charts'}")
+        return 0
+    print(report.render())
+    if report.stats is not None:
+        print(f"\n{report.stats.render()}")
+    if notes:
+        print("\n" + "\n".join(notes))
     return 0
+
+
+def _analyze_into(pcaps, out: Optional[Path], workers: int,
+                  cache_dir: Optional[Path], charts: bool):
+    """Digest, index and analyze ``pcaps``.
+
+    With ``out``, also write the acaps, ``csv/`` and (with ``charts``)
+    ``charts/`` under it.  Returns ``(report, notes)``: one line per
+    written directory.
+    """
+    from repro.analysis import AnalysisPipeline
+
+    pipeline = AnalysisPipeline(
+        acap_dir=out / "acap" if out is not None else None,
+        max_workers=workers, cache_dir=cache_dir)
+    report = pipeline.run(pcaps)
+    notes = []
+    if out is not None:
+        csvs = report.write_csvs(out / "csv")
+        notes.append(f"wrote {len(csvs)} CSVs under {out / 'csv'}")
+        if charts:
+            from repro.analysis.visualize import render_report_charts
+            written = render_report_charts(report, out / "charts")
+            notes.append(f"wrote {len(written)} charts under "
+                         f"{out / 'charts'}")
+    return report, notes
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -631,8 +619,8 @@ def _warn_torn(journal, path: Path) -> None:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import (RunJournal, diff_journals, registry_from_snapshot,
-                           to_metrics_jsonl, to_prometheus)
+    from repro.obs import (RunJournal, diff_journals, to_metrics_jsonl,
+                           to_prometheus)
 
     paths = [args.journal_a, args.journal_b] if args.obs_command == "diff" \
         else [args.journal]
@@ -674,16 +662,25 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     # export: re-render the journal's last metrics snapshot.
     journal = RunJournal.read(args.journal)
     _warn_torn(journal, args.journal)
-    snapshots = journal.of_kind("metrics")
-    if not snapshots:
+    registry = _final_metrics(journal)
+    if registry is None:
         print("error: journal has no metrics snapshot", file=sys.stderr)
         return 2
-    registry = registry_from_snapshot(snapshots[-1].data["metrics"])
     if args.format == "prom":
         print(to_prometheus(registry), end="")
     else:
         print(to_metrics_jsonl(registry), end="")
     return 0
+
+
+def _final_metrics(journal):
+    """The registry of a journal's last metrics snapshot, or None."""
+    from repro.obs import registry_from_snapshot
+
+    snapshots = journal.of_kind("metrics")
+    if not snapshots:
+        return None
+    return registry_from_snapshot(snapshots[-1].data["metrics"])
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -72,7 +72,7 @@ class CampaignManifest:
     workers: int = 1
     cache_enabled: bool = True
     # Seconds of traffic to pre-generate per occasion; 0.0 means the
-    # conservative formula in ``sharding.traffic_world`` (plan duration
+    # conservative formula in ``sharding.run_world`` (plan duration
     # x sites + 600).
     # Small campaigns (the chaos harness) pin a tight span: generating
     # flows the occasion never simulates dominates wall time otherwise.
@@ -90,6 +90,9 @@ class CampaignManifest:
     # canonical event stream.
     telemetry_queries: bool = False
     telemetry_window: float = 1.0
+    # Prefix-preserving address anonymization of every captured frame,
+    # with the fixed default key so the pcaps stay deterministic.
+    anonymize: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
@@ -159,6 +162,7 @@ def occasion_config(manifest: CampaignManifest, occasion: int,
     ``sites`` restricts the profile to a subset (a shard worker passes
     its single target site); the default profiles every manifest site.
     """
+    from repro.analysis.anonymize import Anonymizer
     from repro.capture.session import CaptureMethod
 
     run_dir = Path(run_dir)
@@ -170,6 +174,7 @@ def occasion_config(manifest: CampaignManifest, occasion: int,
         snaplen=manifest.snaplen,
         capture_method=CaptureMethod(manifest.method),
         pcap_prefix=f"o{occasion}_",
+        transform=Anonymizer().transform if manifest.anonymize else None,
         recovery=RecoveryConfig(enabled=manifest.recovery_enabled),
         analysis=AnalysisConfig(max_workers=max(manifest.workers, 1),
                                 cache_enabled=manifest.cache_enabled),

@@ -24,8 +24,9 @@ byte-identity oracle enforce this.
 One occasion path: :func:`run_world` builds a seeded world, generates
 its traffic, profiles, digests and hashes the captures.  A shard is
 ``run_world`` over ``[site, companion]`` profiling ``[site]``; the
-unsharded campaign occasion is ``run_world`` over every manifest site;
-plain ``repro profile`` shares its first step, :func:`traffic_world`.
+unsharded campaign occasion, which every ``repro profile`` run without
+``--shard-workers`` executes, is ``run_world`` over every manifest
+site.
 
 Durability: shard workers return their results to the parent; they
 never touch the WAL, checkpoints, or journal segments themselves.  The
@@ -86,31 +87,6 @@ def shard_task(manifest, occasion: int, run_dir: Union[str, Path],
     }
 
 
-def traffic_world(world: Sequence[str], seeds: Dict[str, int], scale: float,
-                  plan, headroom_sites: int, span: float = 0.0,
-                  sites: Optional[Sequence[str]] = None):
-    """Build a seeded world over ``world`` and pre-generate its traffic.
-
-    Returns ``(federation, api, poller)``.  Only ``sites`` (default
-    all) generate traffic.  A zero ``span`` covers the sampling plan
-    with headroom that scales with ``headroom_sites`` -- the whole
-    campaign's site count, not the shard's, so shard coverage never
-    shrinks relative to a single-process run.
-    """
-    from repro import quickstart_federation
-
-    federation, api, poller, orchestrator = quickstart_federation(
-        site_names=list(world), seed=seeds["world"],
-        traffic_seed=seeds["traffic"], traffic_scale=scale)
-    span = span or plan.approximate_duration * headroom_sites + 600.0
-    window = 0.0
-    while window < span:
-        orchestrator.generate_window(window, min(150.0, span - window),
-                                     sites=sites)
-        window += 150.0
-    return federation, api, poller
-
-
 def run_world(manifest, occasion: int, run_dir: Union[str, Path],
               world: Sequence[str], sites: Sequence[str],
               seeds: Dict[str, int], checkpointer, workers: int = 1,
@@ -118,14 +94,20 @@ def run_world(manifest, occasion: int, run_dir: Union[str, Path],
               overall_scorecard: bool = True) -> Dict[str, Any]:
     """Run one occasion over ``sites`` in a seeded world over ``world``.
 
-    Builds the world, generates traffic, runs the coordinator with
-    ``checkpointer`` as its sample sink, digests the captures with
-    ``workers`` processes and attaches the digests to the ledgers.
+    Builds the world, pre-generates traffic at ``sites`` only, runs the
+    coordinator with ``checkpointer`` as its sample sink, digests the
+    captures with ``workers`` processes and attaches the digests to the
+    ledgers.  A zero ``manifest.traffic_span`` covers the sampling plan
+    with headroom that scales with the whole campaign's site count, not
+    the shard's, so shard coverage never shrinks relative to an
+    unsharded occasion.
+
     Returns ``{journal, records, pcaps, sim_end}``: the live
     :class:`~repro.obs.journal.RunJournal`, Fig 10 record rows,
     content-addressed pcap pointers and the simulator's end time.
     Writes no durable state; the caller commits the result.
     """
+    from repro import quickstart_federation
     from repro.analysis import AnalysisPipeline
     from repro.core.campaign import occasion_config
     from repro.core.coordinator import Coordinator
@@ -135,9 +117,16 @@ def run_world(manifest, occasion: int, run_dir: Union[str, Path],
 
     run_dir = Path(run_dir)
     config = occasion_config(manifest, occasion, run_dir, sites=sites)
-    federation, api, poller = traffic_world(
-        world, seeds, manifest.traffic_scale, config.plan,
-        len(manifest.sites), manifest.traffic_span, sites=sites)
+    federation, api, poller, orchestrator = quickstart_federation(
+        site_names=list(world), seed=seeds["world"],
+        traffic_seed=seeds["traffic"], traffic_scale=manifest.traffic_scale)
+    span = (manifest.traffic_span
+            or config.plan.approximate_duration * len(manifest.sites) + 600.0)
+    window = 0.0
+    while window < span:
+        orchestrator.generate_window(window, min(150.0, span - window),
+                                     sites=sites)
+        window += 150.0
     with scoped(Observability.create(sim=federation.sim)) as obs:
         if trace is not None:
             # Namespace span ids ("<site>/<n>") and parent top-level
@@ -173,12 +162,14 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
 
     The shard world is a two-site federation -- the target site plus a
     cyclic *companion* (``FederationBuilder`` requires at least two
-    sites for the inter-site fabric to exist) -- but only the target
-    site generates traffic and only the target site is profiled, so the
-    companion contributes no events.  Everything the parent needs to
-    commit the shard rides in the return value: the journal segment
-    text, Fig 10 record rows, WAL sample rows, content-addressed pcap
-    pointers, and the shard simulator's end time.
+    sites for the inter-site fabric to exist).  Only the target site
+    generates traffic and only the target site is profiled, but the
+    companion is not inert: the target's remote flows pick their far
+    end among the companion's endpoints, so dropping it would change
+    the shard's traffic (DESIGN.md section 11).  Everything the parent
+    needs to commit the shard rides in the return value: the journal
+    segment text, Fig 10 record rows, WAL sample rows, content-addressed
+    pcap pointers, and the shard simulator's end time.
     """
     from repro.core.campaign import CampaignManifest
 

@@ -113,10 +113,20 @@ class TestProfile:
         assert code == 0
         out = capsys.readouterr().out
         assert "STAR:" in out and "MICH:" in out
-        assert (tmp_path / "out" / "csv").exists()
-        assert (tmp_path / "out" / "logs").exists()
-        assert (tmp_path / "out" / "journal.jsonl").exists()
-        assert (tmp_path / "out" / "metrics.prom").exists()
+        run_dir = tmp_path / "out"
+        for name in ("campaign.manifest", "campaign.wal", "journal.jsonl",
+                     "records.json", "metrics.prom", "csv", "gathered",
+                     "logs"):
+            assert (run_dir / name).exists(), name
+        assert sorted(p.name for p in (run_dir / "gathered").iterdir()) == \
+            ["MICH.tar.gz", "STAR.tar.gz"]
+        # metrics.prom renders the journal's last snapshot, so it is the
+        # same text `repro obs export` prints.
+        assert main(["obs", "export", str(run_dir / "journal.jsonl")]) == 0
+        assert capsys.readouterr().out == \
+            (run_dir / "metrics.prom").read_text()
+        assert main(["profile", "--resume", str(run_dir)]) == 0
+        assert "already complete" in capsys.readouterr().out
 
     def test_profile_json_mode(self, tmp_path, capsys):
         code = main([
@@ -245,7 +255,7 @@ class TestCampaign:
 
 
 DURABLE_ARGS = [
-    "profile", "--durable", "--sites", "STAR", "MICH",
+    "profile", "--sites", "STAR", "MICH",
     "--scale", "0.005", "--sample-duration", "2", "--sample-interval", "10",
     "--samples", "1", "--cycles", "1", "--instances", "1",
     "--occasions", "1", "--traffic-span", "120", "--seed", "9",
@@ -290,6 +300,72 @@ class TestDurableProfile:
     def test_runs_list_empty(self, tmp_path, capsys):
         assert main(["runs", "list", str(tmp_path)]) == 0
         assert "no campaign run directories" in capsys.readouterr().out
+
+    def test_second_run_into_same_out_points_at_resume(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run"
+        assert main(DURABLE_ARGS + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(DURABLE_ARGS + ["--out", str(out)]) == 2
+        assert f"--resume {out}" in capsys.readouterr().err
+
+    def test_manifest_mismatch_points_at_resume(self, tmp_path, capsys):
+        from repro.core.campaign import CampaignManifest
+        from repro.core.checkpoint import canonical_json
+
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "campaign.manifest").write_text(
+            canonical_json(CampaignManifest(seed=1).to_dict()) + "\n")
+        assert main(DURABLE_ARGS + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "differs" in err and f"--resume {out}" in err
+
+    def test_workers_zero_means_one_per_cpu(self, tmp_path, capsys,
+                                            monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "run"
+        assert main(DURABLE_ARGS + ["--out", str(out), "--workers", "0"]) \
+            == 0
+        manifest = json.loads((out / "campaign.manifest").read_text())
+        assert manifest["workers"] == 2
+
+
+class TestAnonymizedShards:
+    """``--anonymize`` and ``--charts`` hold in sharded runs too."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("anon")
+        for workers in (1, 2):
+            assert main(DURABLE_ARGS + [
+                "--out", str(root / f"w{workers}"), "--anonymize",
+                "--charts", "--shard-workers", str(workers), "--json"]) == 0
+        return root
+
+    def test_pcap_addresses_are_anonymized_and_charts_written(self, runs):
+        from repro.analysis.dissect import Dissector
+        from repro.packets.pcap import PcapReader
+
+        dissector = Dissector()
+        sources = set()
+        for pcap in sorted((runs / "w2" / "captures").rglob("*.pcap")):
+            for record in PcapReader(pcap).read_all():
+                ipv4 = dissector.dissect(record.data).first("ipv4")
+                if ipv4 is not None:
+                    sources.add(ipv4.fields["src"])
+        # The testbed numbers endpoints from 10/8; the anonymizer maps
+        # that prefix elsewhere.
+        assert sources
+        assert not any(src.startswith("10.") for src in sources)
+        assert list((runs / "w2" / "charts").glob("*.svg"))
+
+    def test_byte_identical_at_one_and_two_shard_workers(self, runs):
+        for name in ("journal.jsonl", "records.json"):
+            assert (runs / "w1" / name).read_bytes() == \
+                (runs / "w2" / name).read_bytes(), name
 
 
 class TestChaosCommand:

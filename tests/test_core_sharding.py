@@ -220,3 +220,23 @@ class TestShardFoldUnits:
             self._record(2, "occasion-commit", {"occasion": 0}),
         ])
         assert state.salvageable(0) == []
+
+
+class TestShardCompanion:
+    def test_target_site_sends_remote_flows_to_the_companion(self):
+        """The companion in a shard world is not inert: the target's
+        remote flows pick their far end among its endpoints, so a
+        one-site shard world would generate different traffic."""
+        from repro import quickstart_federation
+
+        sites = list(TINY_SHARDED.sites)
+        site, companion = sites[0], sites[1]
+        seeds = TINY_SHARDED.shard_seeds(0, site)
+        _fed, _api, _poller, orchestrator = quickstart_federation(
+            site_names=[site, companion], seed=seeds["world"],
+            traffic_seed=seeds["traffic"],
+            traffic_scale=TINY_SHARDED.traffic_scale)
+        flows = orchestrator.generate_window(0.0, 120.0, sites=[site])
+        assert flows
+        assert all(flow.src.site == site for flow in flows)
+        assert any(flow.dst.site == companion for flow in flows)

@@ -4,9 +4,10 @@ Pins the sha256 of the journal, ``records.json`` and the pcap set of a
 four-site sharded campaign (one ``chatty``, one ``mixed`` and two
 ``bulk`` sites at seed 19) whose traffic span reaches the capture
 sample, so every captured frame head is part of the pin.  A second pin
-covers the unsharded, durable path: the same sites as one world over
-two occasions.  A third pins plain ``repro profile``, which has no WAL
-and writes CSVs next to its journal.  A change to how flows or frames
+covers the unsharded path: the same sites as one world over two
+occasions.  A third pins ``repro profile`` with no mode flags: a
+one-occasion unsharded campaign whose CLI also writes the report CSVs
+and ``metrics.prom`` into the run directory.  A change to how flows or frames
 are generated, or to how the event loop orders them, that is meant to
 be output-neutral must leave these hashes alone.
 
@@ -78,18 +79,21 @@ GOLDEN_SERIAL = {
 }
 
 
-# Plain ``repro profile`` (no WAL, no manifest) with the arguments of
-# the CI smoke run.  Its world comes from the same ``traffic_world`` as
-# the campaign paths, with the seeds ``quickstart_federation`` defaults
-# to.  ``metrics.prom`` is not pinned: it carries wall-clock values.
+# ``repro profile`` with the arguments of the CI smoke run: a
+# one-occasion campaign, so its seeds come from
+# ``CampaignManifest.occasion_seeds`` and its pcaps land under
+# ``captures/<site>/`` with the ``o0_`` prefix.  ``metrics.prom`` is
+# rendered from the journal's last metrics snapshot, so it is pinned
+# too.
 PROFILE_ARGS = ["--sites", "STAR", "MICH", "--scale", "0.02",
                 "--sample-duration", "2", "--sample-interval", "10",
                 "--samples", "1", "--cycles", "1", "--instances", "1"]
 GOLDEN_PROFILE = {
-    "journal": "d7014939c447caf550ea0b1847972692c1ed5443c0497749f39f660942494399",
-    "pcap_set": "e421deef97183b103f5d4750aa38298ff2ada8985536d9757996c4d127245bc8",
-    "pcap_bytes": 830788,
-    "csv_set": "ab131135ce93e185d53d30b70fd7d1fce8df93daf9e5de3425e016f1918bce9d",
+    "journal": "3abb92577e95d46fad569aed5d9dae67454a62a8b7507a306aadca9084788f38",
+    "pcap_set": "619e23a3db9c86aecc703e6c6c62728a485a1d61e9f978ef448004e3ed7f64cf",
+    "pcap_bytes": 1210224,
+    "csv_set": "aec1cf5d9201e8d1692db23fb166558b813762d5703b789ca3bc9edf81bdb502",
+    "metrics": "08e4c2e0c97cfb0727d1f9fe7a728b62dd3b7ea447fb85d588cd2a9dfe37bf8e",
 }
 
 
@@ -116,6 +120,7 @@ def _profile_outputs(out):
         "pcap_set": _listing_sha(out, pcaps),
         "pcap_bytes": sum(p.stat().st_size for p in pcaps),
         "csv_set": _listing_sha(out, sorted((out / "csv").glob("*.csv"))),
+        "metrics": sha256_file(out / "metrics.prom"),
     }
 
 
