@@ -8,15 +8,23 @@ the original pcap.  Everything else is discarded, which is what makes
 later analyses cheap.
 
 Acap files serialize as tab-separated text, one record per line, so
-they stay greppable like the real system's intermediate files.
+they stay greppable like the real system's intermediate files.  The
+acap cache and the Digest process pool use a compact binary encoding
+instead (:func:`encode_acap` / :func:`decode_acap`), which round-trips
+every record bit for bit.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+import zlib
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, chain, count
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.dissect import DissectedFrame, Dissector
 from repro.obs import get_obs
@@ -30,10 +38,11 @@ class AcapRecord(NamedTuple):
     """One frame's abstraction.
 
     A ``NamedTuple``: a corpus holds one record per captured frame, and
-    a tuple is several times cheaper than a frozen dataclass to build,
-    to pickle across the Digest process pool and to hold in memory.  It
-    is immutable and picklable; unlike a dataclass it compares equal to
-    a plain tuple of the same field values.
+    a tuple is several times cheaper than a frozen dataclass to build
+    and to hold in memory, and :func:`decode_acap` builds records
+    straight from column tuples.  It is immutable and picklable; unlike
+    a dataclass it compares equal to a plain tuple of the same field
+    values.
     """
 
     timestamp: float
@@ -474,3 +483,206 @@ def read_acap(path: Union[str, Path]) -> AcapFile:
         except ValueError as exc:
             raise ValueError(f"{path}: malformed acap line") from exc
     return acap
+
+
+
+
+# -- binary entries -------------------------------------------------------------
+#
+# The acap cache's entry format, and what a Digest pool task returns.
+#
+#   header   magic, format version, byte order, record count, body
+#            length and the body's crc32 (fixed size, little-endian)
+#   body     source   the source path, UTF-8
+#            strings  every address and header name once: their
+#                     lengths, then their concatenation in UTF-8
+#            stacks   header stacks: their lengths, then string ids
+#            tags     VLAN and MPLS tag tuples in one table: their
+#                     lengths, then the tags
+#            columns  one array per AcapRecord field, in field order;
+#                     stacks, tags and addresses as table ids
+#
+# A byte run is a u32 length and the bytes; a table starts with a u32
+# entry count.  An array is its typecode byte, then its items in the
+# writer's byte order; int arrays use the narrowest typecode that
+# holds every value.  Timestamps are the float64s themselves, so an
+# entry decodes to exactly the records that were encoded, bit for bit
+# and with the same types.  Decoding builds the tables and the records
+# with C-level map/zip, never a per-record Python loop.
+
+_ENTRY_MAGIC = b"\x89acp"
+ENTRY_VERSION = 1
+_ENTRY_HEADER = struct.Struct("<4sBcQQI")
+_BYTE_ORDER = b"<" if sys.byteorder == "little" else b">"
+_U32 = struct.Struct("<I")
+_INT_CODES = "BHIq"
+_FLOAT_CODES = "d"
+#: ``truncated`` is stored as 0/1 and decoded through this table, so it
+#: comes back as the ``bool`` it was.
+_BOOLS = [False, True]
+_as_record = partial(tuple.__new__, AcapRecord)
+
+
+def _int_array(values: Sequence[int]) -> array:
+    """``values`` in the narrowest typecode that holds them all."""
+    for code in _INT_CODES[:-1]:
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return array(_INT_CODES[-1], values)
+
+
+def _intern(values: Sequence) -> Tuple[list, List[int]]:
+    """The distinct ``values`` in first-seen order, and ``values`` as
+    ids into that table."""
+    table = list(dict.fromkeys(values))
+    ids = dict(zip(table, count()))
+    return table, list(map(ids.__getitem__, values))
+
+
+def _split(lengths: Sequence[int], items: Sequence) -> list:
+    """``items`` cut into consecutive runs of ``lengths``."""
+    ends = list(accumulate(lengths))
+    return list(map(items.__getitem__, map(slice, chain((0,), ends), ends)))
+
+
+class _EntryWriter:
+    """Accumulates an entry body."""
+
+    def __init__(self):
+        self.parts: List[bytes] = []
+
+    def u32(self, value: int) -> None:
+        self.parts.append(_U32.pack(value))
+
+    def blob(self, data: bytes) -> None:
+        self.u32(len(data))
+        self.parts.append(data)
+
+    def column(self, values: array) -> None:
+        self.parts.append(values.typecode.encode())
+        self.parts.append(values.tobytes())
+
+    def table(self, entries: Sequence[Sequence]) -> None:
+        """Entry count and lengths; the caller writes the items."""
+        self.u32(len(entries))
+        self.column(_int_array(list(map(len, entries))))
+
+
+class _EntryReader:
+    """Bounds-checked cursor over an entry body."""
+
+    def __init__(self, body: memoryview):
+        self.body = body
+        self.pos = 0
+
+    def take(self, size: int) -> memoryview:
+        end = self.pos + size
+        if end > len(self.body):
+            raise ValueError("acap entry body ends early")
+        chunk = self.body[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def u32(self) -> int:
+        return _U32.unpack(self.take(4))[0]
+
+    def blob(self) -> memoryview:
+        return self.take(self.u32())
+
+    def column(self, length: int, codes: str = _INT_CODES) -> array:
+        code = chr(self.take(1)[0])
+        if code not in codes:
+            raise ValueError(f"acap entry has typecode {code!r} where one "
+                             f"of {codes!r} belongs")
+        arr = array(code)
+        arr.frombytes(self.take(length * arr.itemsize))
+        return arr
+
+    def table(self) -> array:
+        """Entry lengths; the caller reads the items."""
+        return self.column(self.u32())
+
+
+def encode_acap(acap: AcapFile) -> bytes:
+    """``acap`` as a binary entry (layout above)."""
+    records = acap.records
+    n = len(records)
+    (timestamps, wire_len, captured_len, stacks, vlan_ids, mpls_labels,
+     ip_version, src, dst, proto, sport, dport, tcp_flags, truncated) = \
+        zip(*records) if records else [()] * len(AcapRecord._fields)
+    stack_table, stack_ids = _intern(stacks)
+    tag_table, tag_ids = _intern(vlan_ids + mpls_labels)
+    strings, string_ids = _intern(
+        src + dst + tuple(chain.from_iterable(stack_table)))
+    out = _EntryWriter()
+    out.blob(acap.source.encode("utf-8", "surrogatepass"))
+    out.table(strings)
+    out.blob("".join(strings).encode("utf-8", "surrogatepass"))
+    out.table(stack_table)
+    out.column(_int_array(string_ids[2 * n:]))
+    out.table(tag_table)
+    out.column(_int_array(list(chain.from_iterable(tag_table))))
+    out.column(array(_FLOAT_CODES, timestamps))
+    for column in (wire_len, captured_len, stack_ids, tag_ids[:n],
+                   tag_ids[n:], ip_version, string_ids[:n],
+                   string_ids[n:2 * n], proto, sport, dport, tcp_flags,
+                   truncated):
+        out.column(_int_array(column))
+    body = b"".join(out.parts)
+    return _ENTRY_HEADER.pack(_ENTRY_MAGIC, ENTRY_VERSION, _BYTE_ORDER, n,
+                              len(body), zlib.crc32(body)) + body
+
+
+def decode_acap(data: bytes) -> AcapFile:
+    """Inverse of :func:`encode_acap`.
+
+    Raises ``ValueError`` for anything but a whole, intact entry of this
+    format version and byte order: a bad magic, an unknown version, a
+    byte-order mismatch, a length mismatch or a crc failure.
+    """
+    if len(data) < _ENTRY_HEADER.size:
+        raise ValueError("acap entry is shorter than its header")
+    magic, version, order, n, size, crc = _ENTRY_HEADER.unpack_from(data)
+    if magic != _ENTRY_MAGIC:
+        raise ValueError("not a binary acap entry")
+    if version != ENTRY_VERSION:
+        raise ValueError(f"acap entry format version {version}, "
+                         f"expected {ENTRY_VERSION}")
+    if order != _BYTE_ORDER:
+        raise ValueError("acap entry was written in the other byte order")
+    body = memoryview(data)[_ENTRY_HEADER.size:]
+    if len(body) != size:
+        raise ValueError(f"acap entry body is {len(body)} bytes, "
+                         f"its header says {size}")
+    if zlib.crc32(body) != crc:
+        raise ValueError("acap entry fails its crc check")
+    reader = _EntryReader(body)
+    try:
+        source = str(reader.blob(), "utf-8", "surrogatepass")
+        lengths = reader.table()
+        strings = _split(lengths, str(reader.blob(), "utf-8", "surrogatepass"))
+        lengths = reader.table()
+        names = list(map(strings.__getitem__, reader.column(sum(lengths))))
+        stack_table = list(map(tuple, _split(lengths, names)))
+        lengths = reader.table()
+        tag_table = list(map(tuple, _split(lengths,
+                                           reader.column(sum(lengths)))))
+        timestamps = reader.column(n, _FLOAT_CODES)
+        (wire_len, captured_len, stacks, vlan_ids, mpls_labels, ip_version,
+         src, dst, proto, sport, dport, tcp_flags, truncated) = [
+            reader.column(n) for _ in range(len(AcapRecord._fields) - 1)]
+        if reader.pos != len(body):
+            raise ValueError(f"acap entry has {len(body) - reader.pos} "
+                             f"bytes past its last column")
+        records = list(map(_as_record, zip(
+            timestamps, wire_len, captured_len,
+            map(stack_table.__getitem__, stacks),
+            map(tag_table.__getitem__, vlan_ids),
+            map(tag_table.__getitem__, mpls_labels), ip_version,
+            map(strings.__getitem__, src), map(strings.__getitem__, dst),
+            proto, sport, dport, tcp_flags, map(_BOOLS.__getitem__, truncated))))
+    except (IndexError, UnicodeDecodeError) as exc:
+        raise ValueError("malformed acap entry") from exc
+    return AcapFile(source=source, records=records)

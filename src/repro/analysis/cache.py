@@ -9,12 +9,18 @@ is stored under that key.  A re-run with an unchanged corpus skips
 dissection entirely (a "warm" run); touching or rewriting a pcap
 changes its key, so stale entries are never served.
 
-Cache entries are ordinary acap files (:func:`repro.analysis.acap.write_acap`
-format), laid out ``<cache_dir>/<key[:2]>/<key>.acap`` so a directory
-never collects millions of siblings.  An entry is written to a temporary
-file and renamed into place, so a process that dies mid-write leaves no
-entry rather than a shorter, still parseable one.  Corrupt or unreadable
-entries are treated as misses and dropped.
+An entry is the binary encoding of :func:`repro.analysis.acap.encode_acap`
+(versioned header, body crc32, interned tables, one array per record
+field), laid out ``<cache_dir>/<key[:2]>/<key>.acap`` so a directory
+never collects millions of siblings.  :func:`write_entry` is the one
+writer: it encodes, writes a temporary file and renames it into place,
+so a process that dies mid-write leaves no entry rather than a shorter
+one.  The Digest worker that dissects a pcap writes its entry itself,
+under the key its caller took *before* dissection (:meth:`AcapCache.lookup`),
+so a pcap that changes while it is digested is keyed by its old
+identity and re-digested on the next run.  A torn, corrupt, unreadable
+or old-format entry (including a text entry from before the binary
+format) is a miss and is dropped.
 """
 
 from __future__ import annotations
@@ -22,15 +28,26 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
-from repro.analysis.acap import AcapFile, format_acap, read_acap
-from repro.util.atomio import atomic_write_text
+from repro.analysis.acap import AcapFile, decode_acap, encode_acap
+from repro.util.atomio import atomic_write_bytes
 
 # How many leading bytes participate in the key.  Covers the pcap
 # global header plus the first few record headers -- enough to tell
 # apart same-sized files written at the same second.
 HEADER_HASH_BYTES = 4096
+
+
+def write_entry(entry: Union[str, Path], acap: AcapFile) -> bytes:
+    """Write ``acap`` as the cache entry ``entry``, atomically.
+
+    Returns the entry's bytes, which the Digest pool also hands back to
+    its parent in place of the records.
+    """
+    data = encode_acap(acap)
+    atomic_write_bytes(entry, data)
+    return data
 
 
 class AcapCache:
@@ -65,35 +82,43 @@ class AcapCache:
     # -- lookup / store ------------------------------------------------------
 
     def get(self, pcap_path: Union[str, Path]) -> Optional[AcapFile]:
-        """Return the cached digest of ``pcap_path``, or None on a miss.
+        """Return the cached digest of ``pcap_path``, or None on a miss."""
+        return self.lookup(pcap_path)[0]
 
-        The returned acap's ``source`` is rewritten to ``pcap_path`` so
-        site attribution follows the *caller's* layout even if the entry
-        was stored under a different path to the same content.
+    def lookup(self, pcap_path: Union[str, Path]
+               ) -> Tuple[Optional[AcapFile], Optional[Path]]:
+        """``(acap, None)`` on a hit; ``(None, entry)`` on a miss.
+
+        ``entry`` is where the digest of ``pcap_path`` *as it is now*
+        belongs; it is None when the pcap cannot be keyed (unreadable or
+        gone).  A hit's ``source`` is rewritten to ``pcap_path`` so site
+        attribution follows the *caller's* layout even if the entry was
+        stored under a different path to the same content.
         """
         try:
             entry = self.entry_path(self.key_for(pcap_path))
         except OSError:
             self.misses += 1
-            return None
-        if not entry.exists():
-            self.misses += 1
-            return None
+            return None, None
         try:
-            acap = read_acap(entry)
+            acap = decode_acap(entry.read_bytes())
+        except FileNotFoundError:
+            self.misses += 1
+            return None, entry
         except (OSError, ValueError):
-            # Corrupt entry: drop it and treat as a miss.
+            # Torn, corrupt or old-format entry: drop it, count a miss.
             entry.unlink(missing_ok=True)
             self.misses += 1
-            return None
+            return None, entry
         acap.source = str(pcap_path)
         self.hits += 1
-        return acap
+        return acap, None
 
     def put(self, pcap_path: Union[str, Path], acap: AcapFile) -> Path:
         """Store ``acap`` as the digest of ``pcap_path``, atomically."""
         entry = self.entry_path(self.key_for(pcap_path))
-        return atomic_write_text(entry, format_acap(acap))
+        write_entry(entry, acap)
+        return entry
 
     # -- invalidation ------------------------------------------------------
 

@@ -15,6 +15,14 @@ worker count or completion order.  An optional content-addressed
 :class:`~repro.analysis.cache.AcapCache` skips pcaps digested by an
 earlier run.  :class:`PipelineStats` records what happened (per-stage
 wall time, throughput, cache hits) for the CLI to surface.
+
+The worker that digests a pcap writes every file that belongs to it:
+the cache entry, under the key the parent took *before* dissection,
+and the text acap under ``acap_dir``.  A pool task returns the binary
+entry bytes (:func:`~repro.analysis.acap.encode_acap`), which the
+parent decodes, so it neither unpickles records nor renders text.
+With one worker the same steps run in process and the dissected
+records are kept as they are.
 """
 
 from __future__ import annotations
@@ -24,11 +32,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.acap import AcapFile, digest_pcap, write_acap
+from repro.analysis.acap import (AcapFile, decode_acap, digest_pcap,
+                                 encode_acap, write_acap)
 from repro.analysis.analyze import ProfileAccumulator
-from repro.analysis.cache import AcapCache
+from repro.analysis.cache import AcapCache, write_entry
 from repro.analysis.flows import FlowKey, FlowStats
 from repro.analysis.index import AcapIndex
 from repro.analysis.report import profile_tables
@@ -37,11 +46,10 @@ from repro.obs.ledger import CongestionScorecard
 from repro.util.tables import Table
 
 
-def _digest_or_none(path: Union[str, Path]) -> Optional[AcapFile]:
+def _digest_or_none(path: Path) -> Optional[AcapFile]:
     """Digest one pcap, mapping corruption to ``None`` (quarantine).
 
-    Module-level so it stays picklable for the Digest process pool.  A
-    file that cannot even be opened as a pcap (bad magic, truncated
+    A file that cannot even be opened as a pcap (bad magic, truncated
     global header, vanished from disk) is analysis-poison; the pipeline
     quarantines it and keeps going rather than aborting the whole run.
     """
@@ -49,6 +57,37 @@ def _digest_or_none(path: Union[str, Path]) -> Optional[AcapFile]:
         return digest_pcap(path)
     except (ValueError, OSError, struct.error):
         return None
+
+
+def _digest_and_write(path: Path, entry: Optional[Path],
+                      text: Optional[Path]
+                      ) -> Tuple[Optional[AcapFile], Optional[bytes]]:
+    """Digest one pcap and write every file that belongs to it: the
+    cache ``entry`` and the ``text`` acap, each when given.  Returns the
+    acap (None when quarantined) and the entry's bytes (None when no
+    entry was written)."""
+    acap = _digest_or_none(path)
+    data = None
+    if acap is not None:
+        if entry is not None:
+            data = write_entry(entry, acap)
+        if text is not None:
+            write_acap(acap, text)
+    return acap, data
+
+
+def _digest_task(path: Path, entry: Optional[Path],
+                 text: Optional[Path]) -> Optional[bytes]:
+    """One Digest pool task: :func:`_digest_and_write`, returning the
+    acap as entry bytes (None when quarantined), which cost the parent
+    less to receive and decode than the pickled records.
+
+    Module-level so it stays picklable for the process pool.
+    """
+    acap, data = _digest_and_write(path, entry, text)
+    if acap is None:
+        return None
+    return data if data is not None else encode_acap(acap)
 
 
 @dataclass
@@ -274,20 +313,27 @@ class AnalysisPipeline:
 
     def _digest(self, paths: List[Path], acaps: "List[Optional[AcapFile]]",
                 stats: PipelineStats) -> None:
-
-        todo: List[int] = []
+        # Each pcap is keyed once, before it is dissected: a pcap that
+        # changes during Digest is then stored under its old key and
+        # re-digested next run, never served short under its new one.
+        entries: List[Optional[Path]] = [None] * len(paths)
         if self.cache is not None:
             for i, path in enumerate(paths):
-                cached = self.cache.get(path)
-                if cached is not None:
-                    acaps[i] = cached
-                else:
-                    todo.append(i)
-            stats.cache_hits = len(paths) - len(todo)
-            stats.cache_misses = len(todo)
-        else:
-            todo = list(range(len(paths)))
-            stats.cache_misses = len(todo)
+                acaps[i], entries[i] = self.cache.lookup(path)
+        todo = [i for i, acap in enumerate(acaps) if acap is None]
+        stats.cache_hits = len(paths) - len(todo)
+        stats.cache_misses = len(todo)
+        # One writer per file: a repeated cache entry goes to its first
+        # pcap, a repeated text acap (same site and stem) to its last.
+        claimed = set()
+        for i in todo:
+            if entries[i] in claimed:
+                entries[i] = None
+            claimed.add(entries[i])
+        texts = self._text_paths(paths)
+        for i, acap in enumerate(acaps):
+            if acap is not None and texts[i] is not None:
+                write_acap(acap, texts[i])
 
         # An explicit max_workers is honored as-is (oversubscription is
         # fine; "one per CPU" is decided upstream by AnalysisConfig's
@@ -298,12 +344,15 @@ class AnalysisPipeline:
             # map() preserves input order, so completion order -- which
             # varies run to run -- never leaks into the results.
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                digested = pool.map(_digest_or_none, [paths[i] for i in todo])
-                for i, acap in zip(todo, digested):
-                    acaps[i] = acap
+                digested = pool.map(_digest_task, [paths[i] for i in todo],
+                                    [entries[i] for i in todo],
+                                    [texts[i] for i in todo])
+                for i, data in zip(todo, digested):
+                    if data is not None:
+                        acaps[i] = decode_acap(data)
         else:
             for i in todo:
-                acaps[i] = _digest_or_none(paths[i])
+                acaps[i] = _digest_and_write(paths[i], entries[i], texts[i])[0]
 
         quarantined = [paths[i] for i in todo if acaps[i] is None]
         stats.quarantined = len(quarantined)
@@ -311,18 +360,19 @@ class AnalysisPipeline:
         for path in quarantined:
             journal.emit("pipeline-quarantine",
                          pcap=f"{path.parent.name}/{path.name}")
-        if self.cache is not None:
-            for i in todo:
-                if acaps[i] is not None:
-                    self.cache.put(paths[i], acaps[i])
         self.acaps = [acap for acap in acaps if acap is not None]
-        if self.acap_dir is not None:
-            for path, acap in zip(paths, acaps):
-                if acap is None:
-                    continue
-                out = self.acap_dir / path.parent.name / (path.stem + ".acap")
-                write_acap(acap, out)
         stats.total_frames = sum(len(acap) for acap in self.acaps)
+
+    def _text_paths(self, paths: List[Path]) -> List[Optional[Path]]:
+        """Where each pcap's text acap goes (``acap_dir/<site>/<stem>.acap``),
+        or None: no ``acap_dir``, or a later pcap writes the same file."""
+        if self.acap_dir is None:
+            return [None] * len(paths)
+        texts = [self.acap_dir / path.parent.name / (path.stem + ".acap")
+                 for path in paths]
+        last = {text: i for i, text in enumerate(texts)}
+        return [text if last[text] == i else None
+                for i, text in enumerate(texts)]
 
     # -- Index ------------------------------------------------------------
 

@@ -1,11 +1,15 @@
 """Tests for the content-addressed acap cache."""
 
+import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
+import repro.analysis.pipeline as pipeline_module
 from repro.analysis import AnalysisPipeline
-from repro.analysis.acap import digest_pcap, write_acap
+from repro.analysis.acap import (ENTRY_VERSION, decode_acap, digest_pcap,
+                                 encode_acap, write_acap)
 from repro.analysis.cache import AcapCache
 from repro.packets.builder import FrameBuilder, FrameSpec
 from repro.packets.headers import Ethernet, IPv4, Payload, TCP
@@ -18,6 +22,7 @@ def write_pcap(path, n=5, sport=40000):
     frame = FrameBuilder().build(FrameSpec([
         Ethernet(E1, E2), IPv4("10.0.0.1", "10.0.0.2"),
         TCP(sport, 443), Payload(64)]))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with PcapWriter(path) as writer:
         for i in range(n):
             writer.write(PcapRecord(i * 0.01, frame))
@@ -155,7 +160,138 @@ class TestAtomicPut:
         assert warm.run([pcap]).total_frames == 10
         assert warm.stats.cache_hits == 1
 
-    def test_entry_bytes_are_the_acap_file_format(self, cache, pcap, tmp_path):
+
+class TestBinaryEntries:
+    """Entries are :func:`encode_acap` bytes.  Anything but a whole,
+    intact entry of this format is a miss that evicts it, and the next
+    pipeline run rewrites it as a binary entry with every frame."""
+
+    FRAMES = 10
+
+    @pytest.fixture
+    def pcap(self, tmp_path):
+        return write_pcap(tmp_path / "ten.pcap", n=self.FRAMES)
+
+    def assert_miss_then_rewritten(self, cache, pcap, data):
+        entry = cache.entry_path(AcapCache.key_for(pcap))
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        entry.write_bytes(data)
+        assert cache.get(pcap) is None
+        assert not entry.exists()  # evicted
+        entry.write_bytes(data)
+        pipeline = AnalysisPipeline(cache_dir=cache.cache_dir)
+        assert pipeline.run([pcap]).total_frames == self.FRAMES
+        assert (pipeline.stats.cache_hits, pipeline.stats.cache_misses) == (0, 1)
+        rewritten = decode_acap(entry.read_bytes())
+        assert rewritten.records == digest_pcap(pcap).records
+
+    def test_entry_is_the_binary_encoding(self, cache, pcap):
         acap = digest_pcap(pcap)
         entry = cache.put(pcap, acap)
-        assert entry.read_bytes() == write_acap(acap, tmp_path / "x.acap").read_bytes()
+        assert entry.read_bytes() == encode_acap(acap)
+
+    def test_entry_truncated_at_every_length_is_a_miss(self, cache, pcap):
+        data = encode_acap(digest_pcap(pcap))
+        entry = cache.entry_path(AcapCache.key_for(pcap))
+        entry.parent.mkdir(parents=True)
+        for size in range(len(data)):
+            entry.write_bytes(data[:size])
+            assert cache.get(pcap) is None, size
+            assert not entry.exists(), size
+        assert cache.hits == 0
+        self.assert_miss_then_rewritten(cache, pcap, data[:len(data) // 2])
+
+    def test_flipped_byte_is_a_miss(self, cache, pcap):
+        data = encode_acap(digest_pcap(pcap))
+        entry = cache.entry_path(AcapCache.key_for(pcap))
+        entry.parent.mkdir(parents=True)
+        for pos in range(len(data)):
+            flipped = bytearray(data)
+            flipped[pos] ^= 0x10
+            entry.write_bytes(flipped)
+            assert cache.get(pcap) is None, pos
+            assert not entry.exists(), pos
+        body = bytearray(data)
+        body[-3] ^= 0x01  # inside the last column: only the crc sees it
+        self.assert_miss_then_rewritten(cache, pcap, bytes(body))
+
+    def test_unknown_version_is_a_miss(self, cache, pcap):
+        data = bytearray(encode_acap(digest_pcap(pcap)))
+        assert data[4] == ENTRY_VERSION
+        data[4] = ENTRY_VERSION + 1  # the crc covers the body only
+        with pytest.raises(ValueError, match="version"):
+            decode_acap(bytes(data))
+        self.assert_miss_then_rewritten(cache, pcap, bytes(data))
+
+    def test_old_text_entry_is_a_miss(self, cache, pcap, tmp_path):
+        text = write_acap(digest_pcap(pcap), tmp_path / "old.acap").read_bytes()
+        assert text.startswith(b"#acap v1")
+        self.assert_miss_then_rewritten(cache, pcap, text)
+
+
+def _parallel(workers):
+    """Pool runs see a monkeypatched ``digest_pcap`` only in forked
+    workers."""
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers do not inherit the monkeypatch")
+    return workers
+
+
+class TestKeyTakenBeforeDigest:
+    """The cache key is taken before a pcap is dissected, so a pcap that
+    changes during Digest is never cached under its new identity with
+    its old records, and one that vanishes after Digest does not abort
+    the run."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pcap_growing_during_digest_is_redigested(self, tmp_path,
+                                                      monkeypatch, workers):
+        workers = _parallel(workers)
+        grows = write_pcap(tmp_path / "STAR" / "grows.pcap", n=10)
+        other = write_pcap(tmp_path / "MICH" / "other.pcap", n=3)
+        real = pipeline_module.digest_pcap
+
+        def digest_then_grow(path):
+            acap = real(path)
+            if Path(path) == grows:
+                write_pcap(grows, n=15)
+            return acap
+
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setattr(pipeline_module, "digest_pcap", digest_then_grow)
+        first = AnalysisPipeline(max_workers=workers, cache_dir=cache_dir)
+        assert first.run([grows, other]).total_frames == 13
+        assert first.stats.workers == workers
+        monkeypatch.undo()
+
+        second = AnalysisPipeline(max_workers=workers, cache_dir=cache_dir)
+        assert second.run([grows, other]).total_frames == 18
+        assert (second.stats.cache_hits, second.stats.cache_misses) == (1, 1)
+        third = AnalysisPipeline(max_workers=workers, cache_dir=cache_dir)
+        assert third.run([grows, other]).total_frames == 18
+        assert third.stats.cache_hits == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pcap_removed_after_digest_does_not_abort(self, tmp_path,
+                                                      monkeypatch, workers):
+        workers = _parallel(workers)
+        goes = write_pcap(tmp_path / "STAR" / "goes.pcap", n=10)
+        stays = write_pcap(tmp_path / "MICH" / "stays.pcap", n=3)
+        real = pipeline_module.digest_pcap
+
+        def digest_then_remove(path):
+            acap = real(path)
+            if Path(path) == goes:
+                goes.unlink()
+            return acap
+
+        monkeypatch.setattr(pipeline_module, "digest_pcap", digest_then_remove)
+        pipeline = AnalysisPipeline(max_workers=workers,
+                                    cache_dir=tmp_path / "cache")
+        assert pipeline.run([goes, stays]).total_frames == 13
+        assert (pipeline.stats.workers, pipeline.stats.quarantined) == (workers, 0)
+        monkeypatch.undo()
+        warm = AnalysisPipeline(max_workers=workers,
+                                cache_dir=tmp_path / "cache")
+        assert warm.run([stays]).total_frames == 3
+        assert warm.stats.cache_hits == 1

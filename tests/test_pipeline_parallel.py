@@ -8,10 +8,12 @@ runs end to end.
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.acap import abstract, digest_pcap, dissect_record
+from repro.analysis.acap import (AcapRecord, abstract, digest_pcap,
+                                 dissect_record, write_acap)
 from repro.analysis.cache import AcapCache
 from repro.analysis.dissect import Dissector
 from repro.analysis.pipeline import AnalysisPipeline, PipelineStats
@@ -95,6 +97,74 @@ class TestParallelEquivalence:
             [a.source for a in serial.acaps]
         assert [a.records for a in parallel.acaps] == \
             [a.records for a in serial.acaps]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_parallel_records_are_serial_records_with_exact_types(
+            self, tmp_path, cached):
+        pcaps = make_corpus(tmp_path / "pcaps")
+        runs = []
+        for name, workers in (("serial", 1), ("parallel", 4)):
+            cache_dir = tmp_path / f"cache-{name}" if cached else None
+            pipeline = AnalysisPipeline(max_workers=workers,
+                                        cache_dir=cache_dir)
+            pipeline.digest(pcaps)
+            assert pipeline.stats.workers == workers
+            runs.append(pipeline.acaps)
+            if cached:  # and once more from the entries just written
+                warm = AnalysisPipeline(max_workers=workers,
+                                        cache_dir=cache_dir)
+                warm.digest(pcaps)
+                assert warm.stats.cache_hits == len(pcaps)
+                runs.append(warm.acaps)
+        serial = runs[0]
+        for acaps in runs[1:]:
+            assert [a.source for a in acaps] == [a.source for a in serial]
+            for got, want in zip(acaps, serial):
+                assert got.records == want.records
+                assert [[type(v) for v in r] for r in got.records] == \
+                    [[type(v) for v in r] for r in want.records]
+                assert all(type(r) is AcapRecord for r in got.records)
+                assert [r.timestamp.hex() for r in got.records] == \
+                    [r.timestamp.hex() for r in want.records]
+
+    def test_parallel_text_acaps_are_the_serial_acaps(self, tmp_path):
+        pcaps = make_corpus(tmp_path / "pcaps")
+        serial = AnalysisPipeline()
+        serial.digest(pcaps)
+        parallel = AnalysisPipeline(acap_dir=tmp_path / "out" / "acap",
+                                    max_workers=2,
+                                    cache_dir=tmp_path / "cache")
+        parallel.digest(pcaps)
+        assert parallel.stats.workers == 2
+        written = sorted((tmp_path / "out" / "acap").rglob("*.acap"))
+        assert len(written) == len(pcaps)
+        for acap in serial.acaps:
+            source = Path(acap.source)
+            text = tmp_path / "out" / "acap" / source.parent.name / \
+                (source.stem + ".acap")
+            want = write_acap(acap, tmp_path / "want" / text.name)
+            assert text.read_bytes() == want.read_bytes()
+
+    def test_repeated_pcaps_have_one_writer_per_file(self, tmp_path):
+        # The same pcap twice shares a cache entry, and a copy under
+        # another root shares the text acap path (site and stem): one
+        # worker writes each file, the last pcap's text as before.
+        pcaps = make_corpus(tmp_path / "a", sites=1, pcaps_per_site=2)
+        copies = make_corpus(tmp_path / "b", sites=1, pcaps_per_site=2)
+        inputs = pcaps + pcaps + copies
+        cache_dir = tmp_path / "cache"
+        pipeline = AnalysisPipeline(acap_dir=tmp_path / "out",
+                                    max_workers=4, cache_dir=cache_dir)
+        report = pipeline.run(inputs)
+        assert pipeline.stats.workers == 4
+        assert report.total_frames == 40 * len(inputs)
+        for copy in copies:
+            text = tmp_path / "out" / copy.parent.name / (copy.stem + ".acap")
+            assert text.read_bytes() == write_acap(
+                digest_pcap(copy), tmp_path / "want.acap").read_bytes()
+        warm = AnalysisPipeline(max_workers=4, cache_dir=cache_dir)
+        assert warm.run(inputs).total_frames == 40 * len(inputs)
+        assert warm.stats.cache_hits == len(inputs)
 
     def test_workers_capped_by_todo_size(self, tmp_path):
         pcaps = make_corpus(tmp_path / "pcaps", sites=1, pcaps_per_site=2)

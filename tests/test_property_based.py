@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.acap import AcapFile, AcapRecord, read_acap, write_acap
+from repro.analysis.acap import (AcapFile, AcapRecord, decode_acap, encode_acap,
+                                 read_acap, write_acap)
 from repro.analysis.anonymize import Anonymizer
 from repro.analysis.dissect import Dissector
 from repro.netsim.engine import Simulator
@@ -118,6 +119,47 @@ class TestAcapProperties:
             write_acap(AcapFile("src", records), path)
             loaded = read_acap(path)
         assert loaded.records == records
+
+    addresses = st.one_of(
+        st.just(""), st.ip_addresses(v=4).map(str),
+        st.ip_addresses(v=6).map(str),
+        # the dissector's uncompressed IPv6 form
+        st.lists(st.integers(0, 0xFFFF), min_size=8, max_size=8).map(
+            lambda words: ":".join("%x" % w for w in words)))
+    timestamps = st.one_of(
+        st.just(-0.0), st.just(0.1234567891),  # no exact .6f form
+        st.floats(allow_nan=False))
+    records = st.builds(
+        AcapRecord,
+        timestamp=timestamps,
+        wire_len=st.integers(0, 2**63 - 1),
+        captured_len=st.integers(0, 2**32 - 1),
+        stack=st.one_of(st.just(()), stacks),
+        vlan_ids=st.lists(st.integers(0, 4095), max_size=3).map(tuple),
+        mpls_labels=st.lists(st.integers(0, 2**20 - 1), max_size=4).map(tuple),
+        ip_version=st.sampled_from([0, 4, 6]),
+        src=addresses,
+        dst=addresses,
+        proto=st.integers(0, 255),
+        sport=st.integers(0, 65535),
+        dport=st.integers(0, 65535),
+        tcp_flags=st.integers(0, 255),
+        truncated=st.booleans(),
+    )
+
+    @given(st.one_of(st.just("site/ünïcödé-πcap.pcap"), st.text()),
+           st.lists(records, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_entry_round_trip_is_exact(self, source, records):
+        """A binary entry decodes to the very records encoded: equal,
+        with ``type()``-equal fields and bit-equal timestamps."""
+        loaded = decode_acap(encode_acap(AcapFile(source, records)))
+        assert loaded.source == source
+        assert loaded.records == records
+        assert all(type(r) is AcapRecord for r in loaded.records)
+        for got, want in zip(loaded.records, records):
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert got.timestamp.hex() == want.timestamp.hex()
 
 
 class TestResourceProperties:
