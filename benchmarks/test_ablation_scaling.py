@@ -37,6 +37,7 @@ def run_instance(tmp_path, with_scaling):
                   if with_scaling else None)
     instance = PatchworkInstance(
         api=api, mflib=MFlib(poller.store), config=config, site="STAR",
+        label="pw-star",
         poller=poller, rng=np.random.default_rng(0), scaling=controller)
     instance.start()
     while not instance.finished and federation.sim.step():

@@ -48,7 +48,7 @@ def run_sample(fraction, jitter):
     switch.register_mac(MAC_B, "dst")
     switch.register_mac(MAC_A, "src")
     switch.create_mirror("src", "mir")
-    nic_port = DedicatedNIC().ports[0]
+    nic_port = DedicatedNIC("dn0").ports[0]
     nic_port.attach(switch.ports["mir"].link, "mir")
     store = CounterStore()
 

@@ -8,8 +8,9 @@ multi-core box.  This benchmark runs an eight-site sweep both ways,
 emits ``BENCH_sharding.json`` with the honest sites-per-minute numbers,
 and asserts:
 
-* **parity, unconditionally** -- journal and records hash identical at
-  both worker counts, clean conservation audit on both;
+* **parity, unconditionally** -- journal, records and every committed
+  pcap hash identical at both worker counts, clean conservation audit
+  on both;
 * **speedup, on capable hardware only** -- the >= 2x sites-per-minute
   gate applies when the host has at least four CPU cores (the CI
   runner's shape).  A single-core container cannot parallelize
@@ -31,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.campaign import CampaignManifest, CampaignRunner
-from repro.core.checkpoint import sha256_file
+from repro.core.checkpoint import committed_pcaps, sha256_file
 
 SITES = ("STAR", "MICH", "UTAH", "TACC", "NCSA", "WASH", "DALL", "SALT")
 WORKERS = 4
@@ -86,6 +87,8 @@ def test_sharding_throughput(tmp_path):
     assert sha256_file(tmp_path / "serial" / "journal.jsonl") == \
         sha256_file(tmp_path / "sharded" / "journal.jsonl")
     assert serial.records_sha256 == sharded.records_sha256
+    assert committed_pcaps(tmp_path / "serial") == \
+        committed_pcaps(tmp_path / "sharded")
 
     cores = os.cpu_count() or 1
     speedup = spm_sharded / spm_serial
@@ -120,7 +123,7 @@ def test_sharding_sweep32(tmp_path):
 
     Four times the standard benchmark's fleet through the same sharded
     runner, still under the unconditional parity contract: the merged
-    journal and records must hash identical at 1 and 4 workers.  The
+    journal, records and pcaps must hash identical at 1 and 4 workers.  The
     honest sites-per-minute numbers land in BENCH_sharding.json under
     ``sweep32`` so the scaling trajectory (8 -> 32 -> ...) is recorded
     next to the standard benchmark, not instead of it.
@@ -141,6 +144,8 @@ def test_sharding_sweep32(tmp_path):
     assert sha256_file(tmp_path / "serial" / "journal.jsonl") == \
         sha256_file(tmp_path / "sharded" / "journal.jsonl")
     assert serial.records_sha256 == sharded.records_sha256
+    assert committed_pcaps(tmp_path / "serial") == \
+        committed_pcaps(tmp_path / "sharded")
 
     cores = os.cpu_count() or 1
     payload = {

@@ -83,7 +83,7 @@ def run_sample(fraction, jitter):
     switch.register_mac(MAC_A, "src")
     switch.create_mirror("src", "mir")
     switch.int_stamper = IntStamper(stamp_every=8)
-    nic_port = DedicatedNIC().ports[0]
+    nic_port = DedicatedNIC("dn0").ports[0]
     nic_port.attach(switch.ports["mir"].link, "mir")
     store = CounterStore()
     walks = 0

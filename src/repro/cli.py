@@ -429,15 +429,12 @@ def _profile_outputs(runner, charts: bool):
     directory is gathered with that site's instance logs.  Returns
     ``(report, notes)`` as :func:`_analyze_into` does.
     """
-    from repro.core.checkpoint import WAL_NAME, fold_records, read_wal
+    from repro.core.checkpoint import committed_pcaps
     from repro.core.gather import gather_site
     from repro.obs import RunJournal, to_prometheus
 
     run_dir, manifest = runner.run_dir, runner.manifest
-    records, torn, _valid = read_wal(run_dir / WAL_NAME)
-    committed = fold_records(records, torn=torn).committed
-    pcaps = [run_dir / rel for occasion in sorted(committed)
-             for rel in sorted(committed[occasion].get("pcaps") or {})]
+    pcaps = [run_dir / rel for rel in committed_pcaps(run_dir)]
     cache_dir = run_dir / "acap-cache" if manifest.cache_enabled else None
     report, notes = _analyze_into(pcaps, run_dir, manifest.workers,
                                   cache_dir, charts)

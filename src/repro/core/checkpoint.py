@@ -465,6 +465,16 @@ def describe_run(run_dir: Union[str, Path]) -> Dict[str, Any]:
     return summary
 
 
+def committed_pcaps(run_dir: Union[str, Path]) -> Dict[str, str]:
+    """The pcaps a run's committed occasions name: run-relative path ->
+    SHA-256 as committed, in occasion order, then by path."""
+    records, torn, _valid = read_wal(Path(run_dir) / WAL_NAME)
+    committed = fold_records(records, torn=torn).committed
+    return {rel: sha for occasion in sorted(committed)
+            for rel, sha in sorted((committed[occasion].get("pcaps")
+                                    or {}).items())}
+
+
 def list_runs(parent: Union[str, Path]) -> List[Dict[str, Any]]:
     """Describe every campaign run directory directly under ``parent``."""
     parent = Path(parent)

@@ -285,9 +285,9 @@ class Coordinator:
             poller=self.poller,
             rng=self.seeds.rng(rng_label),
             crash_probability=crash_probability,
-            # Deterministic identity: the label (not a process-wide
-            # counter) names the instance, so journals from two runs of
-            # the same seeded scenario are byte-identical.
+            # Deterministic identity: the label names the instance, so
+            # journals from two runs of the same seeded scenario are
+            # byte-identical.
             label=rng_label,
             on_sample=self._on_sample if self.checkpointer else None,
         )

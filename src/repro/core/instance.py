@@ -25,7 +25,6 @@ of ``INCOMPLETE`` when the restart succeeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -61,8 +60,6 @@ from repro.testbed.api import TestbedAPI
 from repro.testbed.errors import MirrorConflictError, TestbedError
 from repro.testbed.nic import NicPort
 from repro.testbed.switch import MirrorSession
-
-_instance_ids = itertools.count(1)
 
 
 @dataclass
@@ -130,12 +127,12 @@ class PatchworkInstance:
         mflib: MFlib,
         config: PatchworkConfig,
         site: str,
+        label: str,
         poller: Optional[SNMPPoller] = None,
         rng: Optional[np.random.Generator] = None,
         crash_probability: float = 0.0,
         on_done: Optional[Callable[["PatchworkInstance"], None]] = None,
         scaling: Optional[ScalingController] = None,
-        label: Optional[str] = None,
         on_sample: Optional[
             Callable[["PatchworkInstance", SampleRecord], None]] = None,
     ):
@@ -150,11 +147,10 @@ class PatchworkInstance:
         # Sample-level progress hook (the durable campaign layer's WAL
         # row writer): called once per completed or salvaged sample.
         self.on_sample = on_sample
-        # A caller-supplied label keeps instance identity deterministic
-        # across runs of the same seeded scenario (the coordinator passes
-        # its occasion/site label); the process-wide counter is only the
-        # fallback for ad-hoc instances.
-        self.instance_id = label or f"pw{next(_instance_ids)}"
+        # The caller's label names the instance (the coordinator passes
+        # its occasion/site label), so instance identity, and the slice
+        # named after it, depend only on the seeded scenario.
+        self.instance_id = label
         self.log = InstanceLog(site, self.instance_id)
         recovery = config.recovery
         if recovery.enabled and not isinstance(api, ResilientAPI):

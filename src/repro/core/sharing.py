@@ -17,7 +17,6 @@ call :meth:`~repro.testbed.api.TestbedAPI.create_port_mirror`.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
@@ -26,14 +25,11 @@ from repro.netsim.engine import Event, Simulator
 
 PortKey = Tuple[str, str]  # (site, source port id)
 
-_lease_ids = itertools.count(1)
-
 
 @dataclass
 class MirrorLease:
     """One user's turn on a mirrored port."""
 
-    lease_id: int
     site: str
     port_id: str
     holder: str
@@ -68,8 +64,9 @@ class MirrorScheduler:
         self.max_lease_seconds = max_lease_seconds
         self._queues: Dict[PortKey, Deque[_Request]] = {}
         self._current: Dict[PortKey, MirrorLease] = {}
-        self._revokers: Dict[int, Optional[RevokeCallback]] = {}
-        self._expiry_events: Dict[int, Event] = {}
+        # Keyed by port: a port holds one lease at a time.
+        self._revokers: Dict[PortKey, Optional[RevokeCallback]] = {}
+        self._expiry_events: Dict[PortKey, Event] = {}
         self.grants_issued = 0
 
     # -- user API ------------------------------------------------------------
@@ -112,7 +109,6 @@ class MirrorScheduler:
         request = queue.popleft()
         site, port_id = key
         lease = MirrorLease(
-            lease_id=next(_lease_ids),
             site=site,
             port_id=port_id,
             holder=request.holder,
@@ -120,8 +116,8 @@ class MirrorScheduler:
             expires_at=self.sim.now + request.duration,
         )
         self._current[key] = lease
-        self._revokers[lease.lease_id] = request.on_revoke
-        self._expiry_events[lease.lease_id] = self.sim.schedule(
+        self._revokers[key] = request.on_revoke
+        self._expiry_events[key] = self.sim.schedule(
             request.duration, self._expire, lease)
         self.grants_issued += 1
         request.on_grant(lease)
@@ -135,10 +131,10 @@ class MirrorScheduler:
         key = (lease.site, lease.port_id)
         if self._current.get(key) is lease:
             del self._current[key]
-        event = self._expiry_events.pop(lease.lease_id, None)
+        event = self._expiry_events.pop(key, None)
         if event is not None:
             event.cancel()
-        revoker = self._revokers.pop(lease.lease_id, None)
+        revoker = self._revokers.pop(key, None)
         if revoke and revoker is not None:
             revoker(lease)
         self._grant_next(key)

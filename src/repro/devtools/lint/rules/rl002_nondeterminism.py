@@ -12,7 +12,11 @@ This rule flags the ways entropy sneaks in anyway:
 * ``uuid.uuid1/uuid4``, ``os.urandom``, ``secrets.*``;
 * ``sorted(..., key=id)`` / ``.sort(key=id)`` -- address-ordered output;
 * iterating a bare ``set`` into order-sensitive output
-  (``list(set(..))``, ``for x in set(..)``) without ``sorted``.
+  (``list(set(..))``, ``for x in set(..)``) without ``sorted``;
+* an ``itertools.count`` assigned at module scope: a process-global
+  id counter, so the ids a run draws (and any output they reach, such
+  as ICMP identifiers in pcap bytes) depend on what the process ran
+  before.  Count on the world that owns the ids.
 
 Set iteration *is* stable within one CPython process, which is exactly
 why it passes tests and then breaks cross-run byte-identity once hash
@@ -53,6 +57,7 @@ ENTROPY_CALLS = frozenset({
     "os.getrandom",
 })
 SECRETS_PREFIX = "secrets."
+COUNTER = "itertools.count"
 
 SET_WRAPPERS = frozenset({"list", "tuple", "enumerate", "iter", "map",
                           "filter"})
@@ -72,7 +77,21 @@ class NondeterminismRule(Rule):
     name = "hidden-nondeterminism"
     summary = ("hidden entropy: stdlib random, legacy np.random globals, "
                "unseeded default_rng(), uuid4/urandom/secrets, id()-keyed "
-               "sorts, unsorted set iteration")
+               "sorts, unsorted set iteration, module-scope id counters")
+
+    def visit_Module(self, node: ast.Module) -> None:
+        for stmt in node.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+                    or stmt.value is None:
+                continue
+            for sub in ast.walk(stmt.value):
+                if isinstance(sub, ast.Call) \
+                        and self.ctx.call_qualname(sub) == COUNTER:
+                    self.report(sub, (
+                        "module-scope `itertools.count` is a process-global "
+                        "id counter -- keep it on the world (or object) "
+                        "that owns the ids"))
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         qual = self.ctx.call_qualname(node)

@@ -10,11 +10,6 @@ head always contains the complete header stack (built by
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
-
-_frame_ids = itertools.count(1)
-
 # How many leading bytes of each frame the generators serialize.  This
 # comfortably exceeds the deepest encapsulation stack the paper reports
 # (12 headers) plus the paper's largest truncation length (200 B).
@@ -32,15 +27,15 @@ class Frame:
 
     A plain slotted class rather than a dataclass: one is built per
     generated frame and per mirrored copy, so construction is on the
-    dataplane's hot path.  Omitting ``frame_id`` draws a fresh one.
+    dataplane's hot path.  A frame has no id: nothing it writes may
+    depend on how many frames the process built before.
     """
 
     __slots__ = ("wire_len", "head", "created_at", "flow_id", "slice_id",
-                 "site", "frame_id")
+                 "site")
 
     def __init__(self, wire_len: int, head: bytes, created_at: float = 0.0,
-                 flow_id: int = 0, slice_id: str = "", site: str = "",
-                 frame_id: Optional[int] = None):
+                 flow_id: int = 0, slice_id: str = "", site: str = ""):
         if wire_len <= 0:
             raise ValueError("frame must have positive wire length")
         if len(head) > wire_len:
@@ -51,13 +46,11 @@ class Frame:
         self.flow_id = flow_id
         self.slice_id = slice_id
         self.site = site
-        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
 
     def __repr__(self) -> str:
         return (f"Frame(wire_len={self.wire_len}, head=<{len(self.head)} B>, "
                 f"created_at={self.created_at}, flow_id={self.flow_id}, "
-                f"slice_id={self.slice_id!r}, site={self.site!r}, "
-                f"frame_id={self.frame_id})")
+                f"slice_id={self.slice_id!r}, site={self.site!r})")
 
     def captured_bytes(self, snaplen: int) -> bytes:
         """The bytes a capture with the given snap length would record.
@@ -71,6 +64,6 @@ class Frame:
         return self.head + b"\x00" * (want - len(self.head))
 
     def clone(self) -> "Frame":
-        """A copy with its own frame id (used by port mirroring)."""
+        """A new frame with the same content (used by port mirroring)."""
         return Frame(self.wire_len, self.head, self.created_at,
                      self.flow_id, self.slice_id, self.site)

@@ -19,7 +19,8 @@ empirically instead of by argument:
    * **audit** -- the frame-conservation audit of the final journal is
      clean;
    * **bytes** -- final ``journal.jsonl`` and ``records.json`` hash
-     identical to the reference run's;
+     identical to the reference run's, and so does the set of pcaps
+     the final WAL's committed occasions name;
    * **samples** -- the set of sample keys (ledger pcap names) equals
      the reference set, with no duplicates (nothing double-counted or
      lost).
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.core.campaign import CampaignManifest, CampaignRunner
-from repro.core.checkpoint import sha256_file
+from repro.core.checkpoint import canonical_json, committed_pcaps, sha256_bytes, sha256_file
 from repro.util.atomio import FileIO, SimulatedCrash
 from repro.util.rng import derive_rng
 
@@ -158,6 +159,11 @@ def sample_keys(journal_path: Union[str, Path]) -> List[str]:
             for event in journal.of_kind("ledger")]
 
 
+def pcap_set_sha256(run_dir: Union[str, Path]) -> str:
+    """Hash of the committed pcaps' paths and SHA-256s."""
+    return sha256_bytes(canonical_json(committed_pcaps(run_dir)).encode())
+
+
 def run_reference(manifest: CampaignManifest,
                   out_dir: Union[str, Path]) -> Dict[str, Any]:
     """The uninterrupted run: ground truth for every oracle."""
@@ -173,6 +179,7 @@ def run_reference(manifest: CampaignManifest,
         "total_ops": io.ops,
         "journal_sha256": summary.journal_sha256,
         "records_sha256": summary.records_sha256,
+        "pcap_set_sha256": pcap_set_sha256(out_dir),
         "sample_keys": sorted(keys),
         "success_rate": summary.success_rate,
         "audit_ok": summary.audit_ok,
@@ -209,6 +216,9 @@ def run_trial(manifest: CampaignManifest, trial_dir: Union[str, Path],
                            "uninterrupted run")
         if resumed.records_sha256 != reference["records_sha256"]:
             oracles.append("bytes: resumed records.json differs from the "
+                           "uninterrupted run")
+        if pcap_set_sha256(trial_dir) != reference["pcap_set_sha256"]:
+            oracles.append("bytes: resumed pcap set differs from the "
                            "uninterrupted run")
     if journal_path.exists():
         keys = sample_keys(journal_path)

@@ -9,14 +9,11 @@ receivers/senders on the NIC ports their VM was granted.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List
 
 from repro.testbed.errors import InsufficientResourcesError
 from repro.testbed.nic import Nic, NicPort
 from repro.testbed.resources import ResourceCapacity
-
-_vm_ids = itertools.count(1)
 
 
 class VM:

@@ -21,15 +21,12 @@ transmits to the port.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional
 
 from repro.netsim.frame import Frame
 from repro.netsim.link import DuplexLink
 
 Receiver = Callable[[Frame], None]
-
-_nic_ids = itertools.count(1)
 
 
 class NicPort:
@@ -80,8 +77,8 @@ class Nic:
 
     kind = "nic"
 
-    def __init__(self, name: str = "", port_count: int = 1, rate_bps: float = 100e9):
-        self.name = name or f"{self.kind}{next(_nic_ids)}"
+    def __init__(self, name: str, port_count: int = 1, rate_bps: float = 100e9):
+        self.name = name
         self.rate_bps = rate_bps
         self.ports = [NicPort(self, i) for i in range(port_count)]
         self.owner_slice: Optional[str] = None
@@ -108,7 +105,7 @@ class SharedNIC(Nic):
 
     kind = "shared-nic"
 
-    def __init__(self, name: str = "", rate_bps: float = 100e9, vf_slots: int = 381):
+    def __init__(self, name: str, rate_bps: float = 100e9, vf_slots: int = 381):
         super().__init__(name, port_count=1, rate_bps=rate_bps)
         self.vf_slots = vf_slots
         self.vfs_in_use = 0
@@ -129,7 +126,7 @@ class DedicatedNIC(Nic):
 
     kind = "dedicated-nic"
 
-    def __init__(self, name: str = "", rate_bps: float = 100e9):
+    def __init__(self, name: str, rate_bps: float = 100e9):
         super().__init__(name, port_count=2, rate_bps=rate_bps)
 
 
@@ -138,7 +135,7 @@ class FPGANic(Nic):
 
     kind = "fpga-nic"
 
-    def __init__(self, name: str = "", rate_bps: float = 100e9):
+    def __init__(self, name: str, rate_bps: float = 100e9):
         super().__init__(name, port_count=2, rate_bps=rate_bps)
         self.bitstream: Optional[str] = None
 

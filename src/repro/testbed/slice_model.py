@@ -10,7 +10,6 @@ returns everything to the site.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -18,8 +17,6 @@ from repro.testbed.hosts import VM
 from repro.testbed.nic import DedicatedNIC, FPGANic
 from repro.testbed.resources import ResourceCapacity
 from repro.testbed.switch import MirrorSession
-
-_slice_ids = itertools.count(1)
 
 
 @dataclass
@@ -59,12 +56,10 @@ class SliceRequest:
 
     site: str
     nodes: List[NodeRequest]
-    name: str = ""
+    name: str
     lease_hours: float = 24.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"slice-{next(_slice_ids)}"
         if not self.nodes:
             raise ValueError("a slice request needs at least one node")
 

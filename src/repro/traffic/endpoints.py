@@ -45,13 +45,16 @@ class EndpointRegistry:
 
     Addressing scheme: MACs are ``02:e0:xx:xx:xx:xx`` (locally
     administered), IPv4 addresses come from 10/8 (slices reuse private
-    space, per the paper), IPv6 from a ULA prefix.
+    space, per the paper), IPv6 from a ULA prefix.  ``flow_ids`` numbers
+    the world's flows for every site generator of one orchestrator (ids
+    become ICMP echo identifiers in pcaps).
     """
 
     def __init__(self, federation: Federation):
         self.federation = federation
         self.endpoints: List[TrafficEndpoint] = []
         self._counter = itertools.count(1)
+        self.flow_ids = itertools.count(1)
         self._by_site: Dict[str, List[TrafficEndpoint]] = {}
 
     def create(self, site_name: str, slice_name: str = "",

@@ -119,10 +119,13 @@ def _adjust_checksum(data: bytearray, offset: int, delta: int,
     The sum is kept in ``FrameBuilder``'s range 1..0xFFFF, which makes
     the result equal a full recompute.  UDP transmits a computed zero
     as 0xFFFF (RFC 768); a stored zero there means "no checksum" and is
-    left alone.  A TCP checksum of zero is legal and kept.
+    left alone.  A TCP checksum of zero is legal and kept.  A zero
+    ``delta`` keeps the stored checksum: the formula would fold a stored
+    0xFFFF, the checksum of all-zero words (an ICMP echo reply with
+    identifier 0), to 0x0000.
     """
     stored = (data[offset] << 8) | data[offset + 1]
-    if udp and stored == 0:
+    if not delta or udp and stored == 0:
         return
     checksum = 0xFFFF - ((0xFFFF - stored + delta) % 0xFFFF or 0xFFFF)
     if udp and checksum == 0:
@@ -230,7 +233,7 @@ class _Template:
         if app_bytes != self.app_bytes:
             head[self.app_at:self.app_at + len(app_bytes)] = app_bytes
             delta += _word_sum(app_bytes) - self.app_sum
-        if delta and self.checksum_at is not None:
+        if self.checksum_at is not None:
             _adjust_checksum(head, self.checksum_at, delta, self.udp)
         return head
 

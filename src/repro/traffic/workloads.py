@@ -21,7 +21,6 @@ activity is highly variable (B3): most windows are calm, some spike.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -36,8 +35,6 @@ from repro.traffic.encapsulation import EncapKind
 from repro.traffic.endpoints import EndpointRegistry, TrafficEndpoint
 from repro.traffic.flows import AppSpec, Flow, STANDARD_APPS
 from repro.util.rng import SeedSequenceFactory
-
-_flow_ids = itertools.count(1)
 
 
 def _stable_hash(text: str) -> int:
@@ -283,10 +280,9 @@ class SiteTrafficGenerator:
             dst = others[int(self.rng.integers(0, len(others)))]
         vlan_id, mpls_label = self._slice_tags[
             int(self.rng.integers(0, self.profile.slices))]
-        flow_id = next(_flow_ids)
         return Flow(
             sim=self.federation.sim,
-            flow_id=flow_id,
+            flow_id=next(self.registry.flow_ids),
             src=src,
             dst=dst,
             app=app,

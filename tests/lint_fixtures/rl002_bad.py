@@ -1,10 +1,15 @@
 """RL002 bad fixture: every flavor of hidden nondeterminism."""
 
+import itertools
 import os
 import random
 import uuid
+from itertools import count as counter
 
 import numpy as np
+
+_ids = itertools.count(1)  # BAD: process-global id counter
+_next_id = counter().__next__  # BAD: the same, from-imported
 
 
 def stdlib_random():

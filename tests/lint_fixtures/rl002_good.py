@@ -1,5 +1,6 @@
 """RL002 good fixture: seeded draws, stable orders."""
 
+import itertools
 import uuid
 
 import numpy as np
@@ -28,3 +29,8 @@ def stable_order(names):
 
 def keyed_sort(items):
     return sorted(items, key=str)  # stable key: fine
+
+
+class World:
+    def __init__(self):
+        self.flow_ids = itertools.count(1)  # a counter on an instance: fine

@@ -154,7 +154,7 @@ def burst_port():
 
     sim = Simulator()
     link = DuplexLink(sim, rate_bps=100e9)
-    port = DedicatedNIC().ports[0]
+    port = DedicatedNIC("dn0").ports[0]
     port.attach(link, "p1")
 
     def burst(count=500, size=1000):

@@ -36,7 +36,8 @@ def world(tmp_path):
 def run_instance(federation, api, poller, config, site="STAR", **kwargs):
     instance = PatchworkInstance(
         api=api, mflib=MFlib(poller.store), config=config, site=site,
-        poller=poller, rng=np.random.default_rng(0), **kwargs)
+        label=f"pw-{site}", poller=poller, rng=np.random.default_rng(0),
+        **kwargs)
     instance.start()
     deadline = federation.sim.now + 10_000
     while not instance.finished and federation.sim.now < deadline:
@@ -119,7 +120,8 @@ class TestDegradedAndFailed:
         take = int(free) - leave
         if take > 0:
             api.create_slice(SliceRequest(site=site, nodes=[
-                NodeRequest(name=f"u{i}") for i in range(take)]))
+                NodeRequest(name=f"u{i}") for i in range(take)],
+                name=f"drain-{site}"))
 
     def test_degraded_on_shortage(self, world):
         federation, api, poller, config = world
@@ -187,7 +189,7 @@ class TestSelectors:
         done = []
         instance = PatchworkInstance(
             api=api, mflib=MFlib(poller.store), config=config, site="STAR",
-            poller=poller, rng=np.random.default_rng(0),
+            label="pw-star", poller=poller, rng=np.random.default_rng(0),
             on_done=lambda inst: done.append(inst.site))
         instance.start()
         while not instance.finished and federation.sim.step():

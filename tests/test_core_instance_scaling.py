@@ -46,6 +46,7 @@ class TestInstanceScaling:
                                        max_extra_nodes=2)
         instance = PatchworkInstance(
             api=api, mflib=MFlib(poller.store), config=config, site="STAR",
+            label="pw-star",
             poller=poller, rng=np.random.default_rng(0), scaling=controller)
         run_to_completion(federation, instance)
         assert instance.result.outcome is RunOutcome.SUCCESS
@@ -64,6 +65,7 @@ class TestInstanceScaling:
         controller = ScalingController(api, ports_per_slot_threshold=2.0)
         instance = PatchworkInstance(
             api=api, mflib=MFlib(poller.store), config=config, site="STAR",
+            label="pw-star",
             poller=poller, rng=np.random.default_rng(0), scaling=controller)
         run_to_completion(federation, instance)
         assert api.available_resources("STAR") == before
@@ -72,6 +74,7 @@ class TestInstanceScaling:
         federation, api, poller, config = world
         instance = PatchworkInstance(
             api=api, mflib=MFlib(poller.store), config=config, site="STAR",
+            label="pw-star",
             poller=poller, rng=np.random.default_rng(0))
         run_to_completion(federation, instance)
         assert instance.log.of_kind("scaling") == []

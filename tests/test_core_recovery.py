@@ -81,7 +81,8 @@ class TestRetryThroughOutage:
         coordinator = Coordinator(api, config, poller=poller)
         instance = PatchworkInstance(
             api=ResilientAPI(api), mflib=coordinator.mflib, config=config,
-            site="STAR", poller=poller, rng=coordinator.seeds.rng("x"))
+            site="STAR", label="x", poller=poller,
+            rng=coordinator.seeds.rng("x"))
         assert isinstance(instance.api, ResilientAPI)
         assert not isinstance(instance.api.inner, ResilientAPI)
 
@@ -95,7 +96,8 @@ class TestInstanceRestart:
         coordinator = Coordinator(api, config, poller=poller)
         instance = PatchworkInstance(
             api=api, mflib=coordinator.mflib, config=config, site="STAR",
-            poller=poller, rng=coordinator.seeds.rng("occasion0/STAR"))
+            label="occasion0/STAR", poller=poller,
+            rng=coordinator.seeds.rng("occasion0/STAR"))
         sim.schedule(0.0, instance.start)
 
         def arm_kill():
@@ -146,7 +148,8 @@ class TestInstanceRestart:
         coordinator = Coordinator(api, config, poller=poller)
         instance = PatchworkInstance(
             api=api, mflib=coordinator.mflib, config=config, site="STAR",
-            poller=poller, rng=coordinator.seeds.rng("occasion0/STAR"))
+            label="occasion0/STAR", poller=poller,
+            rng=coordinator.seeds.rng("occasion0/STAR"))
         sim = federation.sim
         sim.schedule(0.0, instance.start)
 

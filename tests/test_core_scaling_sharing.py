@@ -20,7 +20,8 @@ def drain(api, site, leave):
     take = int(free) - leave
     if take > 0:
         api.create_slice(SliceRequest(site=site, nodes=[
-            NodeRequest(name=f"u{i}") for i in range(take)]))
+            NodeRequest(name=f"u{i}") for i in range(take)],
+            name=f"drain-{site}"))
 
 
 class TestScalingPolicy:

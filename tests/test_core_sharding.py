@@ -1,10 +1,11 @@
 """Sharded campaign execution: parity, shard-commit reuse, fold units.
 
 The tentpole claim is byte-identity: a sharded campaign produces the
-same canonical journal, records, and clean audit at *any* worker count,
-because every shard world is seeded from ``(campaign seed, site label)``
-and the per-site segments merge deterministically by
-``(sim_time, site, seq)``.  The heavy tests here prove it on the tiny
+same canonical journal, records, pcaps and clean audit at *any* worker
+count, and after a crash and resume in the same process, because every
+shard world is seeded from ``(campaign seed, site label)``, draws its
+ids from its own world, and the per-site segments merge
+deterministically by ``(sim_time, site, seq)``.  The heavy tests here prove it on the tiny
 two-site chaos manifest; the unit half pins the WAL shard-commit
 protocol that lets a crashed shard resume without re-running verified
 sites.
@@ -21,6 +22,7 @@ import pytest
 from repro.core.campaign import SEGMENT_DIR, CampaignRunner
 from repro.core.checkpoint import (
     WalRecord,
+    committed_pcaps,
     fold_records,
     read_wal,
     sha256_file,
@@ -70,6 +72,7 @@ class TestShardedParity:
                          f"occ{occasion:04d}.shards")
             assert sorted(p.name for p in shard_dir.glob("*.jsonl")) == \
                 [f"{site}.jsonl" for site in sorted(TINY_SHARDED.sites)]
+        assert committed_pcaps(reference.run_dir), "no committed pcap"
 
     def test_two_workers_byte_identical_to_one(self, reference, tmp_path):
         runner = CampaignRunner(tmp_path / "run", manifest=TINY_SHARDED,
@@ -79,6 +82,8 @@ class TestShardedParity:
         assert sha256_file(tmp_path / "run" / "journal.jsonl") == \
             sha256_file(reference.run_dir / "journal.jsonl")
         assert summary.records_sha256 == reference.summary.records_sha256
+        assert committed_pcaps(tmp_path / "run") == \
+            committed_pcaps(reference.run_dir)
 
     def test_shard_commits_are_per_site_per_occasion(self, reference):
         records, torn, _ = read_wal(reference.run_dir / "campaign.wal")
@@ -117,6 +122,7 @@ class TestShardCrashResume:
         assert sha256_file(run_dir / "journal.jsonl") == \
             sha256_file(reference.run_dir / "journal.jsonl")
         assert summary.records_sha256 == reference.summary.records_sha256
+        assert committed_pcaps(run_dir) == committed_pcaps(reference.run_dir)
         # The pre-crash shard was verified and reused, not re-run: the
         # WAL holds exactly one commit for that (occasion, site).
         records, _, _ = read_wal(run_dir / "campaign.wal")
@@ -155,6 +161,7 @@ class TestShardCrashResume:
         assert sha256_file(run_dir / "journal.jsonl") == \
             sha256_file(reference.run_dir / "journal.jsonl")
         assert summary.records_sha256 == reference.summary.records_sha256
+        assert committed_pcaps(run_dir) == committed_pcaps(reference.run_dir)
         # The damaged shard was re-run: a second commit for its site.
         records, _, _ = read_wal(run_dir / "campaign.wal")
         keys = [(r.data["occasion"], r.data["site"])

@@ -49,7 +49,7 @@ def build_world(queue_limit_bytes=4000):
     switch.register_mac(MAC_B, "dst")
     switch.register_mac(MAC_A, "src")
     switch.create_mirror("src", "mir")
-    nic = DedicatedNIC()
+    nic = DedicatedNIC("dn0")
     nic.ports[0].attach(switch.ports["mir"].link, "mir")
     return sim, switch, nic.ports[0]
 

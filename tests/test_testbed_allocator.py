@@ -21,6 +21,7 @@ def request(site="STAR", nodes=1, nics=1):
     return SliceRequest(
         site=site,
         nodes=[NodeRequest(name=f"n{i}", dedicated_nics=nics) for i in range(nodes)],
+        name="exp",
     )
 
 
@@ -134,7 +135,7 @@ class TestRollback:
         bad = SliceRequest(site="STAR", nodes=[
             NodeRequest(name="ok", dedicated_nics=0),
             NodeRequest(name="huge", cores=workers_cores + 1, dedicated_nics=0),
-        ])
+        ], name="bad")
         total = site.available_resources()
         if bad.resource_vector().fits_within(total):
             with pytest.raises(InsufficientResourcesError):
@@ -152,6 +153,6 @@ class TestRollback:
         req = SliceRequest(site="STAR", nodes=[
             NodeRequest(name="a", dedicated_nics=1, fpga_nics=1),
             NodeRequest(name="b", dedicated_nics=0, shared_nic_ports=2),
-        ])
+        ], name="exp")
         # a: vm + nic + fpga = 3; b: vm + 2 vf = 3.
         assert req.sliver_count() == 6

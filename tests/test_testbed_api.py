@@ -7,7 +7,8 @@ from repro.testbed.slice_model import NodeRequest, SliceRequest
 
 
 def patchwork_request(site):
-    return SliceRequest(site=site, nodes=[NodeRequest(name="listener")])
+    return SliceRequest(site=site, nodes=[NodeRequest(name="listener")],
+                        name=f"patchwork-{site}")
 
 
 class TestDiscovery:
@@ -90,5 +91,5 @@ class TestSlicesAndMirrors:
     def test_simulate_allocation(self, api):
         assert api.simulate_allocation(patchwork_request("STAR")) is None
         big = SliceRequest(site="STAR", nodes=[
-            NodeRequest(name=f"n{i}") for i in range(50)])
+            NodeRequest(name=f"n{i}") for i in range(50)], name="big")
         assert api.simulate_allocation(big) is not None

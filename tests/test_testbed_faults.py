@@ -13,6 +13,7 @@ def request(site, nodes=1):
     return SliceRequest(
         site=site,
         nodes=[NodeRequest(name=f"listener{i}") for i in range(nodes)],
+        name="exp",
     )
 
 

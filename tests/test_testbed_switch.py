@@ -138,7 +138,7 @@ class TestMirroring:
         original = frame_to(MAC_B, MAC_A)
         switch.ports["p1"].link.rx.offer(original)
         switch.sim.run()
-        assert clones[0].frame_id != original.frame_id
+        assert clones[0] is not original
         assert clones[0].head == original.head
 
     def test_source_conflict(self, switch):

@@ -11,56 +11,41 @@ and ``metrics.prom`` into the run directory.  A change to how flows or frames
 are generated, or to how the event loop orders them, that is meant to
 be output-neutral must leave these hashes alone.
 
-The campaign runs in a fresh interpreter: flow ids come from a
-process-global counter and become ICMP echo identifiers, so a second
-campaign in the same process writes different pcap bytes.
+Ids come from the world that uses them (flow ids, which become ICMP
+echo identifiers, are counted per world), so the pcap bytes depend only
+on the seed.  Each campaign therefore runs twice in this one warm test
+process, and the sharded one once more at two shard workers; every run
+must equal the pin.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.core.campaign import CampaignManifest, CampaignRunner
 from repro.core.checkpoint import sha256_file
 from repro.netsim.engine import Event, Simulator
 
 REPO = Path(__file__).resolve().parents[1]
 
-CAMPAIGN = """
-import hashlib, json, sys
-from pathlib import Path
-from repro.core.campaign import CampaignManifest, CampaignRunner
-from repro.core.checkpoint import sha256_file
-
-out = Path(sys.argv[1])
-manifest = CampaignManifest(**{
+BASE = {
     "seed": 19, "sites": ("STAR", "MICH", "UTAH", "TACC"),
     "traffic_scale": 0.02, "traffic_span": 40.0,
     "sample_duration": 2.0, "sample_interval": 10.0, "samples_per_run": 1,
     "runs_per_cycle": 1, "cycles": 1, "desired_instances": 1,
-    "cache_enabled": False, **json.loads(sys.argv[2])})
-summary = CampaignRunner(out, manifest=manifest, shard_workers=1).run()
-pcaps = sorted((out / "captures").rglob("*.pcap"))
-listing = "".join(f"{p.relative_to(out)} {sha256_file(p)}\\n" for p in pcaps)
-print(json.dumps({
-    "audit_ok": bool(summary.audit_ok),
-    "journal": sha256_file(out / "journal.jsonl"),
-    "records": sha256_file(out / "records.json"),
-    "pcap_set": hashlib.sha256(listing.encode()).hexdigest(),
-    "pcap_bytes": sum(p.stat().st_size for p in pcaps),
-}))
-"""
+    "cache_enabled": False,
+}
 
 SHARDED = {"sharded": True, "occasions": 1}
 GOLDEN = {
     "audit_ok": True,
     "journal": "6e1caf2daa4b5d66c021e7b52dca76965d8ed3fa5dff3fc9759ff5f612d50f4b",
     "records": "5c210ab79be4ba0191af773e1506f4b65b9b7af9b7ddcc3fefa04f5a560581f1",
-    "pcap_set": "ca8dfd376536b3c27f8d970ac7abf47afb1b6bf14d77f9164467fc0e2c9e1968",
+    "pcap_set": "d20869947b1ab3cc5649617b769a395320db0c0559593000bbeb862a3edccccb",
     "pcap_bytes": 577514,
 }
 
@@ -74,7 +59,7 @@ GOLDEN_SERIAL = {
     "audit_ok": True,
     "journal": "31b4db9d3d9a56beece40bd42a92bd00ceb83f90ff64843fe7c21cd3dfbf48c0",
     "records": "a7113386a54f3e6cbd77a00d23a28b6ac714aa8472e5e4b68498991be419049a",
-    "pcap_set": "3933571e78f9bf6c02eb219e5ba8c81772bf10803dc29920df6d5ba276d9249b",
+    "pcap_set": "c54c4744ce4de381e895e273045fe80d0cc498ede0a8dbecf6b81380500e127f",
     "pcap_bytes": 965760,
 }
 
@@ -124,17 +109,30 @@ def _profile_outputs(out):
     }
 
 
-def _campaign_outputs(run_dir, manifest_kwargs):
-    stdout = _python("-c", CAMPAIGN, str(run_dir), json.dumps(manifest_kwargs))
-    return json.loads(stdout.strip().splitlines()[-1])
+def _campaign_outputs(run_dir, manifest_kwargs, shard_workers=1):
+    manifest = CampaignManifest(**{**BASE, **manifest_kwargs})
+    summary = CampaignRunner(run_dir, manifest=manifest,
+                             shard_workers=shard_workers).run()
+    pcaps = sorted((run_dir / "captures").rglob("*.pcap"))
+    return {
+        "audit_ok": bool(summary.audit_ok),
+        "journal": sha256_file(run_dir / "journal.jsonl"),
+        "records": sha256_file(run_dir / "records.json"),
+        "pcap_set": _listing_sha(run_dir, pcaps),
+        "pcap_bytes": sum(p.stat().st_size for p in pcaps),
+    }
 
 
 def test_fixed_seed_campaign_outputs_are_pinned(tmp_path):
-    assert _campaign_outputs(tmp_path / "run", SHARDED) == GOLDEN
+    for i, workers in enumerate((1, 1, 2)):
+        assert _campaign_outputs(tmp_path / f"run{i}", SHARDED,
+                                 workers) == GOLDEN, (i, workers)
 
 
 def test_serial_campaign_outputs_are_pinned(tmp_path):
-    assert _campaign_outputs(tmp_path / "run", SERIAL) == GOLDEN_SERIAL
+    for i in range(2):
+        assert _campaign_outputs(tmp_path / f"run{i}",
+                                 SERIAL) == GOLDEN_SERIAL, i
 
 
 def test_plain_profile_outputs_are_pinned(tmp_path):

@@ -10,7 +10,7 @@ build, and pin that a busy window builds each shape once.
 import zlib
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.engine import Simulator
@@ -109,10 +109,22 @@ flow_fields = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32),
 })
 
+ZERO_ENDPOINT = TrafficEndpoint("SITE", None, mac_str(bytes(6)), "0.0.0.0",
+                                ipv6_str(bytes(16)), "slice")
+
+
+def zero_flow_fields(flow_id):
+    return {"src": ZERO_ENDPOINT, "dst": ZERO_ENDPOINT, "vlan_id": 100,
+            "mpls_label": 16000, "flow_id": flow_id, "seed": 0}
+
 
 class TestStamping:
     @settings(max_examples=300, deadline=None)
     @given(shape=shapes, builder=flow_fields, stamped=flow_fields)
+    # Echo identifier 0 over all-zero words: the full build's checksum
+    # is 0xFFFF, and stamping must not turn it into 0x0000.
+    @example(shape=("icmp", EncapKind.PLAIN, False, "ack"),
+             builder=zero_flow_fields(1), stamped=zero_flow_fields(65536))
     def test_stamped_frame_equals_full_build(self, shape, builder, stamped):
         """Whichever flow built the template, another flow of the same
         shape gets the bytes a full build of its own frame gives."""
