@@ -7,11 +7,11 @@ addresses, ports, flags), and the timing and frame-size metadata from
 the original pcap.  Everything else is discarded, which is what makes
 later analyses cheap.
 
-Acap files serialize as tab-separated text, one record per line, so
-they stay greppable like the real system's intermediate files.  The
-acap cache and the Digest process pool use a compact binary encoding
-instead (:func:`encode_acap` / :func:`decode_acap`), which round-trips
-every record bit for bit.
+Records have one encoding, :func:`encode_acap` / :func:`decode_acap`
+(layout below): a versioned, crc-checked binary form that round-trips
+every record bit for bit.  An acap file, an acap cache entry and a
+Digest pool task's result are all these bytes; :func:`write_acap` and
+:func:`read_acap` are the file helpers.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, count
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.dissect import DissectedFrame, Dissector
 from repro.obs import get_obs
 from repro.packets.pcap import PcapReader
-
-ACAP_VERSION = 1
-_HEADER_LINE = f"#acap v{ACAP_VERSION}"
 
 
 class AcapRecord(NamedTuple):
@@ -402,94 +399,10 @@ def digest_pcap(pcap_path: Union[str, Path],
     return acap
 
 
-# -- serialization ------------------------------------------------------------
-
-def _encode_ints(values: Iterable[int]) -> str:
-    text = ",".join(str(v) for v in values)
-    return text or "-"
-
-
-def _decode_ints(text: str) -> Tuple[int, ...]:
-    """Inverse of :func:`_encode_ints` for a non-empty list."""
-    if "," in text:
-        return tuple(map(int, text.split(",")))
-    return (int(text),)
-
-
-def format_acap(acap: AcapFile) -> str:
-    """The text of an acap file: a header line, then one tab-separated
-    line per record."""
-    lines = [f"{_HEADER_LINE} source={acap.source}\n"]
-    lines += [
-        "\t".join([
-            f"{r.timestamp:.6f}", str(r.wire_len), str(r.captured_len),
-            "/".join(r.stack) or "-",
-            _encode_ints(r.vlan_ids), _encode_ints(r.mpls_labels),
-            str(r.ip_version), r.src or "-", r.dst or "-",
-            str(r.proto), str(r.sport), str(r.dport), str(r.tcp_flags),
-            "1" if r.truncated else "0",
-        ]) + "\n"
-        for r in acap.records
-    ]
-    return "".join(lines)
-
-
-def write_acap(acap: AcapFile, path: Union[str, Path]) -> Path:
-    """Write an acap file (:func:`format_acap`'s text)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(format_acap(acap))
-    return path
-
-
-def read_acap(path: Union[str, Path]) -> AcapFile:
-    """Read an acap file written by :func:`write_acap`.
-
-    Header stacks and tag lists repeat from line to line, so each
-    distinct one is decoded once per file and its tuple shared by every
-    record that carries it.
-    """
-    path = Path(path)
-    stacks = {"-": ()}
-    tags = {"-": ()}
-    with open(path) as handle:
-        header = handle.readline().rstrip("\n")
-        if not header.startswith(_HEADER_LINE):
-            raise ValueError(f"{path}: not an acap file")
-        source = header.partition("source=")[2] or str(path)
-        acap = AcapFile(source=source)
-        append = acap.records.append
-        try:
-            for line in handle:
-                (timestamp, wire_len, captured_len, stack, vlan_ids,
-                 mpls_labels, ip_version, src, dst, proto, sport, dport,
-                 tcp_flags, truncated) = line.rstrip("\n").split("\t")
-                stack_tuple = stacks.get(stack)
-                if stack_tuple is None:
-                    stack_tuple = stacks[stack] = tuple(stack.split("/"))
-                vlan_tuple = tags.get(vlan_ids)
-                if vlan_tuple is None:
-                    vlan_tuple = tags[vlan_ids] = _decode_ints(vlan_ids)
-                mpls_tuple = tags.get(mpls_labels)
-                if mpls_tuple is None:
-                    mpls_tuple = tags[mpls_labels] = _decode_ints(mpls_labels)
-                append(_new_record(AcapRecord, (
-                    float(timestamp), int(wire_len), int(captured_len),
-                    stack_tuple, vlan_tuple, mpls_tuple, int(ip_version),
-                    src if src != "-" else "", dst if dst != "-" else "",
-                    int(proto), int(sport), int(dport), int(tcp_flags),
-                    truncated == "1")))
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed acap line") from exc
-    return acap
-
-
-
-
-# -- binary entries -------------------------------------------------------------
+# -- the acap encoding --------------------------------------------------------
 #
-# The acap cache's entry format, and what a Digest pool task returns.
+# The format of an acap file and an acap cache entry, and what a Digest
+# pool task returns.
 #
 #   header   magic, format version, byte order, record count, body
 #            length and the body's crc32 (fixed size, little-endian)
@@ -686,3 +599,28 @@ def decode_acap(data: bytes) -> AcapFile:
     except (IndexError, UnicodeDecodeError) as exc:
         raise ValueError("malformed acap entry") from exc
     return AcapFile(source=source, records=records)
+
+
+def write_acap(acap: AcapFile, path: Union[str, Path]) -> Path:
+    """Write ``acap`` to ``path`` as its :func:`encode_acap` bytes.
+
+    A plain write: a file torn by a crash fails :func:`read_acap`'s
+    length and crc checks instead of reading back short.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(encode_acap(acap))
+    return path
+
+
+def read_acap(path: Union[str, Path]) -> AcapFile:
+    """Read an acap file, or an acap cache entry (the same bytes).
+
+    Raises ``ValueError``, naming ``path``, for anything
+    :func:`decode_acap` rejects.
+    """
+    path = Path(path)
+    try:
+        return decode_acap(path.read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -9,14 +9,15 @@ is stored under that key.  A re-run with an unchanged corpus skips
 dissection entirely (a "warm" run); touching or rewriting a pcap
 changes its key, so stale entries are never served.
 
-An entry is the binary encoding of :func:`repro.analysis.acap.encode_acap`
-(versioned header, body crc32, interned tables, one array per record
-field), laid out ``<cache_dir>/<key[:2]>/<key>.acap`` so a directory
-never collects millions of siblings.  :func:`write_entry` is the one
-writer: it encodes, writes a temporary file and renames it into place,
-so a process that dies mid-write leaves no entry rather than a shorter
-one.  The Digest worker that dissects a pcap writes its entry itself,
-under the key its caller took *before* dissection (:meth:`AcapCache.lookup`),
+An entry holds the same bytes as an acap file,
+:func:`repro.analysis.acap.encode_acap` (versioned header, body crc32,
+interned tables, one array per record field), laid out
+``<cache_dir>/<key[:2]>/<key>.acap`` so a directory never collects
+millions of siblings.  Entries are written atomically (a temporary
+file renamed into place), so a process that dies mid-write leaves no
+entry rather than a shorter one.  The Digest worker that dissects a
+pcap writes its entry itself (:mod:`repro.analysis.pipeline`), under
+the key its caller took *before* dissection (:meth:`AcapCache.lookup`),
 so a pcap that changes while it is digested is keyed by its old
 identity and re-digested on the next run.  A torn, corrupt, unreadable
 or old-format entry (including a text entry from before the binary
@@ -37,17 +38,6 @@ from repro.util.atomio import atomic_write_bytes
 # global header plus the first few record headers -- enough to tell
 # apart same-sized files written at the same second.
 HEADER_HASH_BYTES = 4096
-
-
-def write_entry(entry: Union[str, Path], acap: AcapFile) -> bytes:
-    """Write ``acap`` as the cache entry ``entry``, atomically.
-
-    Returns the entry's bytes, which the Digest pool also hands back to
-    its parent in place of the records.
-    """
-    data = encode_acap(acap)
-    atomic_write_bytes(entry, data)
-    return data
 
 
 class AcapCache:
@@ -117,7 +107,7 @@ class AcapCache:
     def put(self, pcap_path: Union[str, Path], acap: AcapFile) -> Path:
         """Store ``acap`` as the digest of ``pcap_path``, atomically."""
         entry = self.entry_path(self.key_for(pcap_path))
-        write_entry(entry, acap)
+        atomic_write_bytes(entry, encode_acap(acap))
         return entry
 
     # -- invalidation ------------------------------------------------------

@@ -16,13 +16,13 @@ worker count or completion order.  An optional content-addressed
 earlier run.  :class:`PipelineStats` records what happened (per-stage
 wall time, throughput, cache hits) for the CLI to surface.
 
-The worker that digests a pcap writes every file that belongs to it:
-the cache entry, under the key the parent took *before* dissection,
-and the text acap under ``acap_dir``.  A pool task returns the binary
-entry bytes (:func:`~repro.analysis.acap.encode_acap`), which the
-parent decodes, so it neither unpickles records nor renders text.
-With one worker the same steps run in process and the dissected
-records are kept as they are.
+The worker that digests a pcap encodes it once
+(:func:`~repro.analysis.acap.encode_acap`) and writes those bytes to
+every file that belongs to it: the cache entry, under the key the
+parent took *before* dissection, and the acap file under ``acap_dir``.
+A pool task returns the same bytes, which the parent decodes instead
+of unpickling records.  With one worker the same steps run in process
+and the dissected records are kept as they are.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.acap import (AcapFile, decode_acap, digest_pcap,
                                  encode_acap, write_acap)
 from repro.analysis.analyze import ProfileAccumulator
-from repro.analysis.cache import AcapCache, write_entry
+from repro.analysis.cache import AcapCache
 from repro.analysis.flows import FlowKey, FlowStats
 from repro.analysis.index import AcapIndex
 from repro.analysis.report import profile_tables
 from repro.obs import get_obs
 from repro.obs.ledger import CongestionScorecard
+from repro.util.atomio import atomic_write_bytes
 from repro.util.tables import Table
 
 
@@ -60,31 +61,34 @@ def _digest_or_none(path: Path) -> Optional[AcapFile]:
 
 
 def _digest_and_write(path: Path, entry: Optional[Path],
-                      text: Optional[Path]
+                      acap_path: Optional[Path]
                       ) -> Tuple[Optional[AcapFile], Optional[bytes]]:
-    """Digest one pcap and write every file that belongs to it: the
-    cache ``entry`` and the ``text`` acap, each when given.  Returns the
-    acap (None when quarantined) and the entry's bytes (None when no
-    entry was written)."""
+    """Digest one pcap and write every file that belongs to it, each
+    when given: the cache ``entry`` (atomically) and the acap file at
+    ``acap_path``, both the same :func:`encode_acap` bytes.  Returns the
+    acap (None when quarantined) and those bytes (None when nothing was
+    written)."""
     acap = _digest_or_none(path)
-    data = None
-    if acap is not None:
-        if entry is not None:
-            data = write_entry(entry, acap)
-        if text is not None:
-            write_acap(acap, text)
+    if acap is None or (entry is None and acap_path is None):
+        return acap, None
+    data = encode_acap(acap)
+    if entry is not None:
+        atomic_write_bytes(entry, data)
+    if acap_path is not None:
+        acap_path.parent.mkdir(parents=True, exist_ok=True)
+        acap_path.write_bytes(data)
     return acap, data
 
 
 def _digest_task(path: Path, entry: Optional[Path],
-                 text: Optional[Path]) -> Optional[bytes]:
+                 acap_path: Optional[Path]) -> Optional[bytes]:
     """One Digest pool task: :func:`_digest_and_write`, returning the
-    acap as entry bytes (None when quarantined), which cost the parent
-    less to receive and decode than the pickled records.
+    acap's :func:`encode_acap` bytes (None when quarantined), which cost
+    the parent less to receive and decode than the pickled records.
 
     Module-level so it stays picklable for the process pool.
     """
-    acap, data = _digest_and_write(path, entry, text)
+    acap, data = _digest_and_write(path, entry, acap_path)
     if acap is None:
         return None
     return data if data is not None else encode_acap(acap)
@@ -252,17 +256,6 @@ class AnalysisPipeline:
         self.index: Optional[AcapIndex] = None
         self.stats = PipelineStats()
 
-    @classmethod
-    def from_config(cls, config) -> "AnalysisPipeline":
-        """Build a pipeline from a :class:`~repro.core.config.PatchworkConfig`."""
-        analysis = config.analysis
-        cache_dir = None
-        if analysis.cache_enabled:
-            cache_dir = analysis.cache_dir or config.output_dir / "acap-cache"
-        return cls(acap_dir=config.output_dir / "acap",
-                   max_workers=analysis.max_workers,
-                   cache_dir=cache_dir)
-
     # -- Digest ------------------------------------------------------------
 
     def digest(self, pcap_paths: Sequence[Union[str, Path]]) -> List[AcapFile]:
@@ -324,20 +317,20 @@ class AnalysisPipeline:
         stats.cache_hits = len(paths) - len(todo)
         stats.cache_misses = len(todo)
         # One writer per file: a repeated cache entry goes to its first
-        # pcap, a repeated text acap (same site and stem) to its last.
+        # pcap, a repeated acap file (same site and stem) to its last.
         claimed = set()
         for i in todo:
             if entries[i] in claimed:
                 entries[i] = None
             claimed.add(entries[i])
-        texts = self._text_paths(paths)
+        acap_paths = self._acap_paths(paths)
         for i, acap in enumerate(acaps):
-            if acap is not None and texts[i] is not None:
-                write_acap(acap, texts[i])
+            if acap is not None and acap_paths[i] is not None:
+                write_acap(acap, acap_paths[i])
 
         # An explicit max_workers is honored as-is (oversubscription is
-        # fine; "one per CPU" is decided upstream by AnalysisConfig's
-        # max_workers=0), but never more than one process per pcap.
+        # fine; "one per CPU" is decided upstream, by the CLI's
+        # --workers 0), but never more than one process per pcap.
         workers = max(1, min(self.max_workers, len(todo)))
         stats.workers = workers
         if workers > 1:
@@ -346,13 +339,14 @@ class AnalysisPipeline:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 digested = pool.map(_digest_task, [paths[i] for i in todo],
                                     [entries[i] for i in todo],
-                                    [texts[i] for i in todo])
+                                    [acap_paths[i] for i in todo])
                 for i, data in zip(todo, digested):
                     if data is not None:
                         acaps[i] = decode_acap(data)
         else:
             for i in todo:
-                acaps[i] = _digest_and_write(paths[i], entries[i], texts[i])[0]
+                acaps[i] = _digest_and_write(paths[i], entries[i],
+                                             acap_paths[i])[0]
 
         quarantined = [paths[i] for i in todo if acaps[i] is None]
         stats.quarantined = len(quarantined)
@@ -363,16 +357,16 @@ class AnalysisPipeline:
         self.acaps = [acap for acap in acaps if acap is not None]
         stats.total_frames = sum(len(acap) for acap in self.acaps)
 
-    def _text_paths(self, paths: List[Path]) -> List[Optional[Path]]:
-        """Where each pcap's text acap goes (``acap_dir/<site>/<stem>.acap``),
+    def _acap_paths(self, paths: List[Path]) -> List[Optional[Path]]:
+        """Where each pcap's acap file goes (``acap_dir/<site>/<stem>.acap``),
         or None: no ``acap_dir``, or a later pcap writes the same file."""
         if self.acap_dir is None:
             return [None] * len(paths)
-        texts = [self.acap_dir / path.parent.name / (path.stem + ".acap")
-                 for path in paths]
-        last = {text: i for i, text in enumerate(texts)}
-        return [text if last[text] == i else None
-                for i, text in enumerate(texts)]
+        targets = [self.acap_dir / path.parent.name / (path.stem + ".acap")
+                   for path in paths]
+        last = {target: i for i, target in enumerate(targets)}
+        return [target if last[target] == i else None
+                for i, target in enumerate(targets)]
 
     # -- Index ------------------------------------------------------------
 

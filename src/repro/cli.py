@@ -721,16 +721,19 @@ def _trace_journal_paths(target: Path) -> Optional[List[Path]]:
     """Resolve a trace target to journal files, in stream order.
 
     A file is taken as-is.  A campaign run dir resolves to its final
-    ``journal.jsonl`` when present, else to its rotated per-occasion
-    segments (``segments/occ*.jsonl``) in sequence order.
+    ``journal.jsonl`` when present, else (an interrupted campaign) to
+    its rotated per-occasion segments (``journal/occ*.jsonl``) in
+    sequence order.
     """
+    from repro.core.checkpoint import SEGMENT_DIR
+
     if target.is_file():
         return [target]
     if target.is_dir():
         combined = target / "journal.jsonl"
         if combined.is_file():
             return [combined]
-        segments = sorted((target / "segments").glob("occ*.jsonl"))
+        segments = sorted((target / SEGMENT_DIR).glob("occ*.jsonl"))
         if segments:
             return segments
     return None

@@ -33,8 +33,8 @@ testbed it profiles.  The package mirrors the paper's Section 6 design:
   lease scheduler that lets multiple users share one mirrored port.
 """
 
-from repro.core.config import (AnalysisConfig, PatchworkConfig, RecoveryConfig,
-                               SamplingPlan, TelemetryConfig)
+from repro.core.config import (PatchworkConfig, RecoveryConfig, SamplingPlan,
+                               TelemetryConfig)
 from repro.core.status import (RunOutcome, RunRecord, publish_outcomes,
                                recovery_summary)
 from repro.core.retry import (
@@ -85,7 +85,6 @@ from repro.core.campaign import (
 )
 
 __all__ = [
-    "AnalysisConfig",
     "PatchworkConfig",
     "RecoveryConfig",
     "SamplingPlan",

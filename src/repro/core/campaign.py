@@ -40,8 +40,8 @@ from repro.core.checkpoint import (CHECKPOINT_DIR, MANIFEST_NAME, SEGMENT_DIR,
                                    CheckpointStore, RecoveryState,
                                    WalCorruptionError, canonical_json,
                                    sha256_bytes, sha256_file)
-from repro.core.config import (AnalysisConfig, PatchworkConfig, RecoveryConfig,
-                               SamplingPlan, TelemetryConfig)
+from repro.core.config import (PatchworkConfig, RecoveryConfig, SamplingPlan,
+                               TelemetryConfig)
 from repro.core.status import RunOutcome, RunRecord, success_rate
 from repro.util.atomio import (FileIO, atomic_write_bytes, atomic_write_text,
                                sweep_tmp_files)
@@ -176,8 +176,6 @@ def occasion_config(manifest: CampaignManifest, occasion: int,
         pcap_prefix=f"o{occasion}_",
         transform=Anonymizer().transform if manifest.anonymize else None,
         recovery=RecoveryConfig(enabled=manifest.recovery_enabled),
-        analysis=AnalysisConfig(max_workers=max(manifest.workers, 1),
-                                cache_enabled=manifest.cache_enabled),
         telemetry=TelemetryConfig(enabled=manifest.telemetry_queries,
                                   window=manifest.telemetry_window,
                                   seed=manifest.seed))
@@ -217,7 +215,8 @@ class CampaignRunner:
         journal.jsonl       final journal = byte-concat of the segments
         records.json        final Fig 10 run records (canonical JSON)
         captures/<site>/    pcaps, oN_-prefixed for global uniqueness
-        acap/ acap-cache/   digests + content-addressed cache
+        acap/<site>/        one acap file per pcap (encode_acap bytes)
+        acap-cache/         content-addressed cache, the same bytes
         logs/occNNNN/       per-occasion instance logs
     """
 

@@ -10,7 +10,6 @@ the default capture method.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -97,28 +96,6 @@ class RecoveryConfig:
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    """Offline-pipeline knobs (Fig 9: Digest/Index/Analyze/Process).
-
-    ``max_workers`` bounds the Digest process pool -- pcaps are
-    embarrassingly parallel, one worker digests one capture at a time.
-    ``0`` means "one worker per CPU".  The content-addressed acap cache
-    (``cache_enabled``) lets a re-run over an unchanged corpus skip
-    dissection; ``cache_dir`` defaults to ``<output_dir>/acap-cache``.
-    """
-
-    max_workers: int = 1
-    cache_enabled: bool = True
-    cache_dir: Optional[Path] = None
-
-    def __post_init__(self) -> None:
-        if self.max_workers < 0:
-            raise ValueError("max_workers cannot be negative")
-        if self.max_workers == 0:
-            object.__setattr__(self, "max_workers", os.cpu_count() or 1)
-
-
-@dataclass(frozen=True)
 class TelemetryConfig:
     """Streaming-telemetry knobs (:mod:`repro.telemetry.query`).
 
@@ -197,8 +174,6 @@ class PatchworkConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     # Fault recovery (off by default: the paper's original behaviour).
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    # Offline analysis pipeline (worker pool + acap cache).
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self) -> None:
         self.output_dir = Path(self.output_dir)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.acap import (
-    AcapFile, AcapRecord, abstract, digest_pcap, read_acap, write_acap,
+    AcapFile, AcapRecord, abstract, digest_pcap, encode_acap, read_acap,
+    write_acap,
 )
 from repro.analysis.dissect import Dissector
 from repro.packets.builder import FrameBuilder, FrameSpec
@@ -104,12 +105,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_acap(path)
 
-    def test_file_is_greppable_text(self, tmp_path):
+    def test_file_is_the_encoded_acap(self, tmp_path):
         acap = AcapFile(source="s", records=[make_record()])
         path = write_acap(acap, tmp_path / "z.acap")
-        text = path.read_text()
-        assert "eth/vlan/mpls" in text
-        assert "10.1.2.3" in text
+        assert path.read_bytes() == encode_acap(acap)
+
+    def test_rejects_pre_binary_text_file(self, tmp_path):
+        # The tab-separated text an acap file held before the binary
+        # encoding replaced it.
+        path = tmp_path / "old.acap"
+        path.write_text(
+            "#acap v1 source=out/STAR/c0.pcap\n"
+            "1.250000\t1544\t200\teth/vlan/ipv4/tcp\t301\t-\t4\t"
+            "10.1.2.3\t10.4.5.6\t6\t50000\t443\t24\t0\n")
+        with pytest.raises(ValueError, match="old.acap"):
+            read_acap(path)
 
 
 class TestRecordContract:
@@ -176,9 +186,15 @@ class TestRecordContract:
         assert twice[1].stack is twice[5].stack
         assert twice[2].vlan_ids is twice[6].vlan_ids
 
-    def test_malformed_field_is_a_value_error(self, tmp_path):
+    def test_damaged_file_is_a_value_error_naming_it(self, tmp_path):
         path = write_acap(AcapFile("s", [make_record()]), tmp_path / "m.acap")
-        text = path.read_text().replace("\t1544\t", "\tbig\t")
-        path.write_text(text)
-        with pytest.raises(ValueError, match="malformed acap line"):
+        data = path.read_bytes()
+        for pos in (0, len(data) // 2, len(data) - 1):
+            damaged = bytearray(data)
+            damaged[pos] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(ValueError, match="m.acap"):
+                read_acap(path)
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(ValueError, match="m.acap"):
             read_acap(path)

@@ -9,7 +9,7 @@ import pytest
 import repro.analysis.pipeline as pipeline_module
 from repro.analysis import AnalysisPipeline
 from repro.analysis.acap import (ENTRY_VERSION, decode_acap, digest_pcap,
-                                 encode_acap, write_acap)
+                                 encode_acap)
 from repro.analysis.cache import AcapCache
 from repro.packets.builder import FrameBuilder, FrameSpec
 from repro.packets.headers import Ethernet, IPv4, Payload, TCP
@@ -223,9 +223,12 @@ class TestBinaryEntries:
             decode_acap(bytes(data))
         self.assert_miss_then_rewritten(cache, pcap, bytes(data))
 
-    def test_old_text_entry_is_a_miss(self, cache, pcap, tmp_path):
-        text = write_acap(digest_pcap(pcap), tmp_path / "old.acap").read_bytes()
-        assert text.startswith(b"#acap v1")
+    def test_old_text_entry_is_a_miss(self, cache, pcap):
+        # An entry in the tab-separated text form that acap files and
+        # cache entries had before the binary encoding.
+        text = (b"#acap v1 source=" + str(pcap).encode() + b"\n"
+                b"0.000000\t60\t60\teth/ipv4/tcp\t-\t-\t4\t10.0.0.1\t"
+                b"10.0.0.2\t6\t1000\t80\t24\t0\n")
         self.assert_miss_then_rewritten(cache, pcap, text)
 
 

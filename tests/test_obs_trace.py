@@ -4,8 +4,13 @@ Perfetto / folded-stacks exporters."""
 
 import json
 import pickle
+from pathlib import Path
+
+import pytest
 
 from repro.cli import build_parser, main
+from repro.core.campaign import CampaignRunner
+from repro.core.checkpoint import SEGMENT_DIR
 from repro.obs import RunJournal
 from repro.obs.trace import (
     TraceTree,
@@ -15,6 +20,8 @@ from repro.obs.trace import (
     to_folded_stacks,
 )
 from repro.obs.tracing import TraceContext, Tracer, qualify_span_id
+from repro.testbed.chaos import default_manifest
+from repro.util.atomio import FileIO, SimulatedCrash
 
 
 def span_open(journal, span, name, t=None, parent=None, **attrs):
@@ -496,15 +503,21 @@ class TestTraceCli:
         assert "root" in capsys.readouterr().out
 
     def test_run_dir_falls_back_to_segments(self, tmp_path, capsys):
-        seg_dir = tmp_path / "segments"
-        seg_dir.mkdir()
-        seg1, seg2 = RunJournal(), RunJournal()
-        span_open(seg1, 0, "occ0", t=0.0)
-        span_close(seg1, 0, "occ0", t=1.0)
-        span_open(seg2, 0, "occ1", t=2.0)
-        span_close(seg2, 0, "occ1", t=3.0)
-        seg1.write(seg_dir / "occ0000.jsonl")
-        seg2.write(seg_dir / "occ0001.jsonl")
-        assert main(["trace", "tree", str(tmp_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [r["name"] for r in payload["roots"]] == ["occ0", "occ1"]
+        # A two-occasion campaign that dies just before it writes the
+        # final journal.jsonl leaves only its per-occasion segments.
+        class DieBeforeFinalJournal(FileIO):
+            def replace(self, src, dst):
+                if Path(dst).name == "journal.jsonl":
+                    raise SimulatedCrash("before the final journal")
+                super().replace(src, dst)
+
+        run_dir = tmp_path / "run"
+        with pytest.raises(SimulatedCrash):
+            CampaignRunner(run_dir, manifest=default_manifest(),
+                           io=DieBeforeFinalJournal()).run()
+        assert not (run_dir / "journal.jsonl").exists()
+        segments = sorted((run_dir / SEGMENT_DIR).glob("occ*.jsonl"))
+        assert [p.name for p in segments] == ["occ0000.jsonl", "occ0001.jsonl"]
+        assert main(["trace", "tree", str(run_dir), "--json"]) == 0
+        roots = [r["name"] for r in json.loads(capsys.readouterr().out)["roots"]]
+        assert roots.count("occasion") == 2

@@ -17,7 +17,6 @@ from repro.analysis.acap import (AcapRecord, abstract, digest_pcap,
 from repro.analysis.cache import AcapCache
 from repro.analysis.dissect import Dissector
 from repro.analysis.pipeline import AnalysisPipeline, PipelineStats
-from repro.core.config import AnalysisConfig, PatchworkConfig
 from repro.packets.builder import FrameBuilder, FrameSpec
 from repro.packets.headers import (
     ARP, DNSHeader, Ethernet, HTTPPayload, ICMP, IPProto, IPv4, IPv6, MPLS,
@@ -127,7 +126,7 @@ class TestParallelEquivalence:
                 assert [r.timestamp.hex() for r in got.records] == \
                     [r.timestamp.hex() for r in want.records]
 
-    def test_parallel_text_acaps_are_the_serial_acaps(self, tmp_path):
+    def test_parallel_acap_files_are_the_serial_acaps(self, tmp_path):
         pcaps = make_corpus(tmp_path / "pcaps")
         serial = AnalysisPipeline()
         serial.digest(pcaps)
@@ -140,15 +139,15 @@ class TestParallelEquivalence:
         assert len(written) == len(pcaps)
         for acap in serial.acaps:
             source = Path(acap.source)
-            text = tmp_path / "out" / "acap" / source.parent.name / \
+            acap_file = tmp_path / "out" / "acap" / source.parent.name / \
                 (source.stem + ".acap")
-            want = write_acap(acap, tmp_path / "want" / text.name)
-            assert text.read_bytes() == want.read_bytes()
+            want = write_acap(acap, tmp_path / "want" / acap_file.name)
+            assert acap_file.read_bytes() == want.read_bytes()
 
     def test_repeated_pcaps_have_one_writer_per_file(self, tmp_path):
         # The same pcap twice shares a cache entry, and a copy under
-        # another root shares the text acap path (site and stem): one
-        # worker writes each file, the last pcap's text as before.
+        # another root shares the acap file path (site and stem): one
+        # worker writes each file, the last pcap's acap as before.
         pcaps = make_corpus(tmp_path / "a", sites=1, pcaps_per_site=2)
         copies = make_corpus(tmp_path / "b", sites=1, pcaps_per_site=2)
         inputs = pcaps + pcaps + copies
@@ -159,8 +158,8 @@ class TestParallelEquivalence:
         assert pipeline.stats.workers == 4
         assert report.total_frames == 40 * len(inputs)
         for copy in copies:
-            text = tmp_path / "out" / copy.parent.name / (copy.stem + ".acap")
-            assert text.read_bytes() == write_acap(
+            acap_file = tmp_path / "out" / copy.parent.name / (copy.stem + ".acap")
+            assert acap_file.read_bytes() == write_acap(
                 digest_pcap(copy), tmp_path / "want.acap").read_bytes()
         warm = AnalysisPipeline(max_workers=4, cache_dir=cache_dir)
         assert warm.run(inputs).total_frames == 40 * len(inputs)
@@ -250,29 +249,6 @@ class TestStats:
         report = AnalysisPipeline().run([])
         assert report.stats.pcaps == 0
         assert report.stats.frames_per_second == 0.0
-
-
-class TestFromConfig:
-    def test_defaults_under_output_dir(self, tmp_path):
-        config = PatchworkConfig(output_dir=tmp_path / "out",
-                                 analysis=AnalysisConfig(max_workers=3))
-        pipeline = AnalysisPipeline.from_config(config)
-        assert pipeline.max_workers == 3
-        assert pipeline.acap_dir == config.output_dir / "acap"
-        assert pipeline.cache.cache_dir == config.output_dir / "acap-cache"
-
-    def test_cache_disabled(self, tmp_path):
-        config = PatchworkConfig(
-            output_dir=tmp_path / "out",
-            analysis=AnalysisConfig(cache_enabled=False))
-        assert AnalysisPipeline.from_config(config).cache is None
-
-    def test_zero_workers_means_cpu_count(self):
-        assert AnalysisConfig(max_workers=0).max_workers == (os.cpu_count() or 1)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(max_workers=-1)
 
 
 class TestFastPathParity:
