@@ -46,7 +46,7 @@ def main() -> None:
     print(f"  captures under {out}")
 
     # 4. Offline analysis: Digest -> acap -> Index -> Analyze -> Process.
-    report = AnalysisPipeline(acap_dir=out / "acap").run(bundle.pcap_paths)
+    report = AnalysisPipeline().run(bundle.pcap_paths)
     print(f"\n=== Profile of {report.total_frames} captured frames ===\n")
     print(report.tables["frame_sizes_overall"].render())
     print()

@@ -6,8 +6,8 @@ half that runs after the gathering phase:
 * **Digest** (:mod:`repro.analysis.dissect`, :mod:`repro.analysis.acap`)
   -- protocol dissectors turn each captured frame prefix into an
   abstract stack of headers ("acap"), discarding unneeded bytes.
-* **Index** (:mod:`repro.analysis.index`) -- per-acap-file summaries so
-  later analyses can locate the files they need without re-reading
+* **Index** (:mod:`repro.analysis.index`) -- per-acap summaries so
+  later analyses can select the captures they need without re-reading
   gigabytes.
 * **Analyze** (:mod:`repro.analysis.analyze`,
   :mod:`repro.analysis.flows`) -- frame-size characterization, header
@@ -27,8 +27,6 @@ from repro.analysis.acap import (
     AcapRecord,
     digest_pcap,
     dissect_record,
-    read_acap,
-    write_acap,
 )
 from repro.analysis.cache import AcapCache
 from repro.analysis.index import AcapIndex, IndexEntry
@@ -57,8 +55,6 @@ __all__ = [
     "AcapRecord",
     "digest_pcap",
     "dissect_record",
-    "read_acap",
-    "write_acap",
     "AcapIndex",
     "IndexEntry",
     "FlowKey",

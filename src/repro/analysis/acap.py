@@ -9,9 +9,10 @@ later analyses cheap.
 
 Records have one encoding, :func:`encode_acap` / :func:`decode_acap`
 (layout below): a versioned, crc-checked binary form that round-trips
-every record bit for bit.  An acap file, an acap cache entry and a
-Digest pool task's result are all these bytes; :func:`write_acap` and
-:func:`read_acap` are the file helpers.
+every record bit for bit.  An acap cache entry and a Digest pool
+task's result are these bytes; the cache
+(:class:`~repro.analysis.cache.AcapCache`) is the only place they are
+persisted, and its ``lookup`` is their reader.
 """
 
 from __future__ import annotations
@@ -78,19 +79,6 @@ class AcapFile:
 
     def __iter__(self):
         return iter(self.records)
-
-    @property
-    def time_range(self) -> Tuple[float, float]:
-        if not self.records:
-            return (0.0, 0.0)
-        times = [r.timestamp for r in self.records]
-        return (min(times), max(times))
-
-    def protocols(self) -> set:
-        names = set()
-        for record in self.records:
-            names.update(record.stack)
-        return names
 
 
 def abstract(dissected: DissectedFrame, timestamp: float, wire_len: int,
@@ -401,8 +389,8 @@ def digest_pcap(pcap_path: Union[str, Path],
 
 # -- the acap encoding --------------------------------------------------------
 #
-# The format of an acap file and an acap cache entry, and what a Digest
-# pool task returns.
+# The format of an acap cache entry, and what a Digest pool task
+# returns.
 #
 #   header   magic, format version, byte order, record count, body
 #            length and the body's crc32 (fixed size, little-endian)
@@ -599,28 +587,3 @@ def decode_acap(data: bytes) -> AcapFile:
     except (IndexError, UnicodeDecodeError) as exc:
         raise ValueError("malformed acap entry") from exc
     return AcapFile(source=source, records=records)
-
-
-def write_acap(acap: AcapFile, path: Union[str, Path]) -> Path:
-    """Write ``acap`` to ``path`` as its :func:`encode_acap` bytes.
-
-    A plain write: a file torn by a crash fails :func:`read_acap`'s
-    length and crc checks instead of reading back short.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(encode_acap(acap))
-    return path
-
-
-def read_acap(path: Union[str, Path]) -> AcapFile:
-    """Read an acap file, or an acap cache entry (the same bytes).
-
-    Raises ``ValueError``, naming ``path``, for anything
-    :func:`decode_acap` rejects.
-    """
-    path = Path(path)
-    try:
-        return decode_acap(path.read_bytes())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -9,8 +9,8 @@ is stored under that key.  A re-run with an unchanged corpus skips
 dissection entirely (a "warm" run); touching or rewriting a pcap
 changes its key, so stale entries are never served.
 
-An entry holds the same bytes as an acap file,
-:func:`repro.analysis.acap.encode_acap` (versioned header, body crc32,
+The cache is the only on-disk store of digests.  An entry holds
+:func:`repro.analysis.acap.encode_acap` bytes (versioned header, body crc32,
 interned tables, one array per record field), laid out
 ``<cache_dir>/<key[:2]>/<key>.acap`` so a directory never collects
 millions of siblings.  Entries are written atomically (a temporary

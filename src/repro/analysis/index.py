@@ -3,24 +3,24 @@
 "Since a single profile often produces dozens of gigabytes of data, an
 Index step is carried out to allow subsequent analyses to more quickly
 locate the acap files needed."  An :class:`AcapIndex` summarizes each
-acap file -- frame count, time range, protocols seen, site (parsed
+digested pcap -- frame count, time range, protocols seen, site (parsed
 from Patchwork's output layout) -- and supports the selection queries
-the Analyze step uses.
+the Analyze step uses.  It is built in memory from the acaps Digest
+returns; digests themselves are persisted only in the acap cache.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Union
+from typing import Iterable, List, Optional, Set
 
-from repro.analysis.acap import AcapFile, read_acap
+from repro.analysis.acap import AcapFile
 
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """Summary of one acap file."""
+    """Summary of one digested pcap."""
 
     path: str
     site: str
@@ -28,10 +28,6 @@ class IndexEntry:
     start: float
     end: float
     protocols: frozenset
-
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.end - self.start)
 
 
 def _site_from_path(path: Path) -> str:
@@ -42,20 +38,10 @@ def _site_from_path(path: Path) -> str:
 
 
 class AcapIndex:
-    """An index over a set of acap files."""
+    """An index over a set of acaps."""
 
     def __init__(self, entries: Optional[List[IndexEntry]] = None):
         self.entries: List[IndexEntry] = entries or []
-
-    @classmethod
-    def build(cls, acap_paths: Iterable[Union[str, Path]]) -> "AcapIndex":
-        """Index acap files on disk (reads each once)."""
-        entries = []
-        for raw in acap_paths:
-            path = Path(raw)
-            acap = read_acap(path)
-            entries.append(cls.entry_for(acap, path))
-        return cls(entries)
 
     @classmethod
     def build_from_memory(cls, acaps: Iterable[AcapFile]) -> "AcapIndex":
@@ -65,8 +51,8 @@ class AcapIndex:
     @staticmethod
     def entry_for(acap: AcapFile, path: Path) -> IndexEntry:
         # One pass over the records: time range and protocol set together
-        # (``acap.time_range`` + ``acap.protocols()`` would walk them
-        # three times, which adds up when indexing a whole profile).
+        # (separate min/max/union walks would take three, which adds up
+        # when indexing a whole profile).
         start = end = 0.0
         protocols: Set[str] = set()
         first = True
@@ -109,34 +95,3 @@ class AcapIndex:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    # -- persistence ------------------------------------------------------------
-
-    def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["path", "site", "frames", "start", "end", "protocols"])
-            for e in self.entries:
-                writer.writerow([
-                    e.path, e.site, e.frames, f"{e.start:.6f}", f"{e.end:.6f}",
-                    " ".join(sorted(e.protocols)),
-                ])
-        return path
-
-    @classmethod
-    def read(cls, path: Union[str, Path]) -> "AcapIndex":
-        entries = []
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                entries.append(IndexEntry(
-                    path=row["path"],
-                    site=row["site"],
-                    frames=int(row["frames"]),
-                    start=float(row["start"]),
-                    end=float(row["end"]),
-                    protocols=frozenset(row["protocols"].split()),
-                ))
-        return cls(entries)

@@ -16,13 +16,13 @@ worker count or completion order.  An optional content-addressed
 earlier run.  :class:`PipelineStats` records what happened (per-stage
 wall time, throughput, cache hits) for the CLI to surface.
 
-The worker that digests a pcap encodes it once
+The cache is the only place a digest is persisted.  The worker that
+digests a pcap encodes it once
 (:func:`~repro.analysis.acap.encode_acap`) and writes those bytes to
-every file that belongs to it: the cache entry, under the key the
-parent took *before* dissection, and the acap file under ``acap_dir``.
-A pool task returns the same bytes, which the parent decodes instead
-of unpickling records.  With one worker the same steps run in process
-and the dissected records are kept as they are.
+its cache entry, under the key the parent took *before* dissection.  A
+pool task returns the same bytes, which the parent decodes instead of
+unpickling records.  With one worker the same steps run in process and
+the dissected records are kept as they are.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.acap import (AcapFile, decode_acap, digest_pcap,
-                                 encode_acap, write_acap)
+                                 encode_acap)
 from repro.analysis.analyze import ProfileAccumulator
 from repro.analysis.cache import AcapCache
 from repro.analysis.flows import FlowKey, FlowStats
@@ -60,35 +60,27 @@ def _digest_or_none(path: Path) -> Optional[AcapFile]:
         return None
 
 
-def _digest_and_write(path: Path, entry: Optional[Path],
-                      acap_path: Optional[Path]
+def _digest_and_write(path: Path, entry: Optional[Path]
                       ) -> Tuple[Optional[AcapFile], Optional[bytes]]:
-    """Digest one pcap and write every file that belongs to it, each
-    when given: the cache ``entry`` (atomically) and the acap file at
-    ``acap_path``, both the same :func:`encode_acap` bytes.  Returns the
-    acap (None when quarantined) and those bytes (None when nothing was
-    written)."""
+    """Digest one pcap and, given a cache ``entry``, write its
+    :func:`encode_acap` bytes there atomically.  Returns the acap (None
+    when quarantined) and those bytes (None when nothing was written)."""
     acap = _digest_or_none(path)
-    if acap is None or (entry is None and acap_path is None):
+    if acap is None or entry is None:
         return acap, None
     data = encode_acap(acap)
-    if entry is not None:
-        atomic_write_bytes(entry, data)
-    if acap_path is not None:
-        acap_path.parent.mkdir(parents=True, exist_ok=True)
-        acap_path.write_bytes(data)
+    atomic_write_bytes(entry, data)
     return acap, data
 
 
-def _digest_task(path: Path, entry: Optional[Path],
-                 acap_path: Optional[Path]) -> Optional[bytes]:
+def _digest_task(path: Path, entry: Optional[Path]) -> Optional[bytes]:
     """One Digest pool task: :func:`_digest_and_write`, returning the
     acap's :func:`encode_acap` bytes (None when quarantined), which cost
     the parent less to receive and decode than the pickled records.
 
     Module-level so it stays picklable for the process pool.
     """
-    acap, data = _digest_and_write(path, entry, acap_path)
+    acap, data = _digest_and_write(path, entry)
     if acap is None:
         return None
     return data if data is not None else encode_acap(acap)
@@ -244,12 +236,10 @@ class AnalysisPipeline:
     over an unchanged corpus then skips dissection entirely.
     """
 
-    def __init__(self, acap_dir: Optional[Union[str, Path]] = None,
-                 max_workers: int = 1,
+    def __init__(self, max_workers: int = 1,
                  cache_dir: Optional[Union[str, Path]] = None):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        self.acap_dir = Path(acap_dir) if acap_dir is not None else None
         self.max_workers = max_workers
         self.cache = AcapCache(cache_dir) if cache_dir is not None else None
         self.acaps: List[AcapFile] = []
@@ -259,7 +249,7 @@ class AnalysisPipeline:
     # -- Digest ------------------------------------------------------------
 
     def digest(self, pcap_paths: Sequence[Union[str, Path]]) -> List[AcapFile]:
-        """Dissect every pcap into an acap (optionally persisted).
+        """Dissect every pcap into an acap (cached when ``cache_dir``).
 
         Cached pcaps are served from the acap cache; the rest fan out
         over up to ``max_workers`` processes.  ``self.acaps`` preserves
@@ -316,17 +306,13 @@ class AnalysisPipeline:
         todo = [i for i, acap in enumerate(acaps) if acap is None]
         stats.cache_hits = len(paths) - len(todo)
         stats.cache_misses = len(todo)
-        # One writer per file: a repeated cache entry goes to its first
-        # pcap, a repeated acap file (same site and stem) to its last.
+        # One writer per entry: a repeated cache entry goes to its
+        # first pcap.
         claimed = set()
         for i in todo:
             if entries[i] in claimed:
                 entries[i] = None
             claimed.add(entries[i])
-        acap_paths = self._acap_paths(paths)
-        for i, acap in enumerate(acaps):
-            if acap is not None and acap_paths[i] is not None:
-                write_acap(acap, acap_paths[i])
 
         # An explicit max_workers is honored as-is (oversubscription is
         # fine; "one per CPU" is decided upstream, by the CLI's
@@ -338,15 +324,13 @@ class AnalysisPipeline:
             # varies run to run -- never leaks into the results.
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 digested = pool.map(_digest_task, [paths[i] for i in todo],
-                                    [entries[i] for i in todo],
-                                    [acap_paths[i] for i in todo])
+                                    [entries[i] for i in todo])
                 for i, data in zip(todo, digested):
                     if data is not None:
                         acaps[i] = decode_acap(data)
         else:
             for i in todo:
-                acaps[i] = _digest_and_write(paths[i], entries[i],
-                                             acap_paths[i])[0]
+                acaps[i] = _digest_and_write(paths[i], entries[i])[0]
 
         quarantined = [paths[i] for i in todo if acaps[i] is None]
         stats.quarantined = len(quarantined)
@@ -356,17 +340,6 @@ class AnalysisPipeline:
                          pcap=f"{path.parent.name}/{path.name}")
         self.acaps = [acap for acap in acaps if acap is not None]
         stats.total_frames = sum(len(acap) for acap in self.acaps)
-
-    def _acap_paths(self, paths: List[Path]) -> List[Optional[Path]]:
-        """Where each pcap's acap file goes (``acap_dir/<site>/<stem>.acap``),
-        or None: no ``acap_dir``, or a later pcap writes the same file."""
-        if self.acap_dir is None:
-            return [None] * len(paths)
-        targets = [self.acap_dir / path.parent.name / (path.stem + ".acap")
-                   for path in paths]
-        last = {target: i for i, target in enumerate(targets)}
-        return [target if last[target] == i else None
-                for i, target in enumerate(targets)]
 
     # -- Index ------------------------------------------------------------
 

@@ -555,15 +555,13 @@ def _analyze_into(pcaps, out: Optional[Path], workers: int,
                   cache_dir: Optional[Path], charts: bool):
     """Digest, index and analyze ``pcaps``.
 
-    With ``out``, also write the acaps, ``csv/`` and (with ``charts``)
-    ``charts/`` under it.  Returns ``(report, notes)``: one line per
+    With ``out``, also write ``csv/`` and (with ``charts``) ``charts/``
+    under it.  Returns ``(report, notes)``: one line per
     written directory.
     """
     from repro.analysis import AnalysisPipeline
 
-    pipeline = AnalysisPipeline(
-        acap_dir=out / "acap" if out is not None else None,
-        max_workers=workers, cache_dir=cache_dir)
+    pipeline = AnalysisPipeline(max_workers=workers, cache_dir=cache_dir)
     report = pipeline.run(pcaps)
     notes = []
     if out is not None:

@@ -215,8 +215,7 @@ class CampaignRunner:
         journal.jsonl       final journal = byte-concat of the segments
         records.json        final Fig 10 run records (canonical JSON)
         captures/<site>/    pcaps, oN_-prefixed for global uniqueness
-        acap/<site>/        one acap file per pcap (encode_acap bytes)
-        acap-cache/         content-addressed cache, the same bytes
+        acap-cache/         content-addressed digests (encode_acap bytes)
         logs/occNNNN/       per-occasion instance logs
     """
 

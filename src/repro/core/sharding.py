@@ -143,8 +143,7 @@ def run_world(manifest, occasion: int, run_dir: Union[str, Path],
         bundle.write_logs(run_dir / "logs" / f"occ{occasion:04d}")
         cache_dir = (run_dir / "acap-cache"
                      if manifest.cache_enabled else None)
-        pipeline = AnalysisPipeline(acap_dir=run_dir / "acap",
-                                    max_workers=workers, cache_dir=cache_dir)
+        pipeline = AnalysisPipeline(max_workers=workers, cache_dir=cache_dir)
         pipeline.run(bundle.pcap_paths)
         attach_digests(bundle.ledgers, pipeline.acaps)
         obs.snapshot_to_journal()

@@ -70,7 +70,6 @@ from repro.obs.tracing import (
     TraceContext,
     Tracer,
     qualify_span_id,
-    trace_tree,
 )
 
 
@@ -214,5 +213,4 @@ __all__ = [
     "to_folded_stacks",
     "to_metrics_jsonl",
     "to_prometheus",
-    "trace_tree",
 ]

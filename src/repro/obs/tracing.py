@@ -226,25 +226,3 @@ class Tracer:
         self.journal.emit("span-close", t=span.closed_at, span=span.span_id,
                           name=span.name, attrs=attrs or {},
                           volatile=volatile)
-
-
-def trace_tree(journal) -> Dict[Optional[SpanId], List[Dict[str, Any]]]:
-    """Rebuild the span tree from a journal: parent id -> child spans.
-
-    A flat adjacency view kept for quick interactive inspection; the
-    full reconstruction (durations, critical path, dangling spans,
-    rotated-segment id reuse) lives in :mod:`repro.obs.trace`.
-    """
-    children: Dict[Optional[SpanId], List[Dict[str, Any]]] = {}
-    closes = {e.data["span"]: e for e in journal.of_kind("span-close")}
-    for event in journal.of_kind("span-open"):
-        span_id = event.data["span"]
-        close = closes.get(span_id)
-        children.setdefault(event.data.get("parent"), []).append({
-            "span": span_id,
-            "name": event.data["name"],
-            "attrs": event.data.get("attrs", {}),
-            "opened_at": event.t,
-            "closed_at": close.t if close is not None else None,
-        })
-    return children

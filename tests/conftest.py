@@ -66,6 +66,6 @@ def profiled_bundle_and_pipeline(tmp_path_factory):
     )
     coordinator = Coordinator(api, config, poller=poller)
     bundle = coordinator.run_profile()
-    pipeline = AnalysisPipeline(acap_dir=out / "acap")
+    pipeline = AnalysisPipeline()
     report = pipeline.run(bundle.pcap_paths)
     return bundle, pipeline, report

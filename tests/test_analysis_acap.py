@@ -1,12 +1,17 @@
 """Tests for acap abstraction and serialization."""
 
+import zlib
+
 import pytest
 
 from repro.analysis.acap import (
-    AcapFile, AcapRecord, abstract, digest_pcap, encode_acap, read_acap,
-    write_acap,
+    _ENTRY_HEADER, AcapFile, AcapRecord, abstract, decode_acap, digest_pcap,
+    encode_acap,
 )
+from repro.analysis.cache import AcapCache
 from repro.analysis.dissect import Dissector
+from repro.analysis.index import AcapIndex
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.packets.builder import FrameBuilder, FrameSpec
 from repro.packets.headers import (
     Ethernet, IPv4, MPLS, Payload, PseudoWireControlWord, TCP, TLSRecord, VLAN,
@@ -67,59 +72,69 @@ class TestDigestPcap:
         acap = digest_pcap(path)
         assert len(acap) == 10
         assert acap.records[0].wire_len == 1544
-        assert acap.time_range == (pytest.approx(0.0), pytest.approx(0.9))
-        assert "tls" in acap.protocols()
+        entry = AcapIndex.entry_for(acap, path)
+        assert (entry.start, entry.end) == (pytest.approx(0.0),
+                                            pytest.approx(0.9))
+        assert "tls" in entry.protocols
 
     def test_empty_pcap(self, tmp_path):
         path = tmp_path / "empty.pcap"
         PcapWriter(path).close()
         acap = digest_pcap(path)
         assert len(acap) == 0
-        assert acap.time_range == (0.0, 0.0)
+        entry = AcapIndex.entry_for(acap, path)
+        assert (entry.start, entry.end) == (0.0, 0.0)
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         acap = AcapFile(source="test.pcap", records=[make_record(ts=1.25)])
-        path = write_acap(acap, tmp_path / "x.acap")
-        loaded = read_acap(path)
+        loaded = decode_acap(encode_acap(acap))
         assert loaded.source == "test.pcap"
         assert loaded.records == acap.records
 
-    def test_round_trip_empty_fields(self, tmp_path):
+    def test_round_trip_empty_fields(self):
         record = AcapRecord(timestamp=0.0, wire_len=60, captured_len=60,
                             stack=("eth",))
-        path = write_acap(AcapFile("s", [record]), tmp_path / "y.acap")
-        loaded = read_acap(path)
+        loaded = decode_acap(encode_acap(AcapFile("s", [record])))
         assert loaded.records[0] == record
 
-    def test_rejects_non_acap(self, tmp_path):
-        path = tmp_path / "bogus.acap"
-        path.write_text("not an acap\n")
+    def test_rejects_non_acap(self):
         with pytest.raises(ValueError):
-            read_acap(path)
+            decode_acap(b"not an acap\n")
 
-    def test_rejects_malformed_line(self, tmp_path):
-        path = tmp_path / "short.acap"
-        path.write_text("#acap v1 source=s\na\tb\n")
+    def test_rejects_malformed_line(self):
+        # A well-formed header and crc over a body whose tables do not
+        # parse.
+        good = encode_acap(AcapFile("s", [make_record()]))
+        magic, version, order, n, _size, _crc = _ENTRY_HEADER.unpack_from(good)
+        body = b"\xff" * 16
         with pytest.raises(ValueError):
-            read_acap(path)
+            decode_acap(_ENTRY_HEADER.pack(magic, version, order, n, len(body),
+                                           zlib.crc32(body)) + body)
 
     def test_file_is_the_encoded_acap(self, tmp_path):
-        acap = AcapFile(source="s", records=[make_record()])
-        path = write_acap(acap, tmp_path / "z.acap")
-        assert path.read_bytes() == encode_acap(acap)
+        # The one file a digest persists is its cache entry, and it
+        # holds the encoded acap.
+        path = tmp_path / "STAR" / "c.pcap"
+        path.parent.mkdir()
+        with PcapWriter(path, snaplen=200) as writer:
+            writer.write(PcapRecord(0.5, tls_frame(), orig_len=1544))
+        AnalysisPipeline(cache_dir=tmp_path / "cache").digest([path])
+        entries = list((tmp_path / "cache").rglob("*.acap"))
+        assert len(entries) == 1
+        assert entries[0].read_bytes() == encode_acap(digest_pcap(path))
+        acap, _entry = AcapCache(tmp_path / "cache").lookup(path)
+        assert acap.records == digest_pcap(path).records
 
-    def test_rejects_pre_binary_text_file(self, tmp_path):
+    def test_rejects_pre_binary_text_file(self):
         # The tab-separated text an acap file held before the binary
         # encoding replaced it.
-        path = tmp_path / "old.acap"
-        path.write_text(
-            "#acap v1 source=out/STAR/c0.pcap\n"
-            "1.250000\t1544\t200\teth/vlan/ipv4/tcp\t301\t-\t4\t"
-            "10.1.2.3\t10.4.5.6\t6\t50000\t443\t24\t0\n")
-        with pytest.raises(ValueError, match="old.acap"):
-            read_acap(path)
+        with pytest.raises(ValueError):
+            decode_acap(
+                b"#acap v1 source=out/STAR/c0.pcap\n"
+                b"1.250000\t1544\t200\teth/vlan/ipv4/tcp\t301\t-\t4\t"
+                b"10.1.2.3\t10.4.5.6\t6\t50000\t443\t24\t0\n")
 
 
 class TestRecordContract:
@@ -164,7 +179,7 @@ class TestRecordContract:
         assert loaded == records
         assert all(type(r) is AcapRecord for r in loaded)
 
-    def test_write_read_round_trip_with_empty_fields(self, tmp_path):
+    def test_write_read_round_trip_with_empty_fields(self):
         records = [
             AcapRecord(0.0, 60, 0, ()),
             AcapRecord(1.000001, 64, 54, ("eth", "vlan", "mpls", "mpls"),
@@ -176,25 +191,20 @@ class TestRecordContract:
             AcapRecord(3.25, 60, 60, ("eth", "ipv4"), ip_version=4,
                        src="10.0.0.1", dst="", proto=6, tcp_flags=0x3F),
         ]
-        path = write_acap(AcapFile("s", records), tmp_path / "e.acap")
-        loaded = read_acap(path).records
+        loaded = decode_acap(encode_acap(AcapFile("s", records))).records
         assert loaded == records
         assert all(type(r) is AcapRecord for r in loaded)
         # Repeated stacks and tag lists decode to one shared tuple.
-        twice = read_acap(write_acap(AcapFile("s", records * 2),
-                                     tmp_path / "twice.acap")).records
+        twice = decode_acap(encode_acap(AcapFile("s", records * 2))).records
         assert twice[1].stack is twice[5].stack
         assert twice[2].vlan_ids is twice[6].vlan_ids
 
-    def test_damaged_file_is_a_value_error_naming_it(self, tmp_path):
-        path = write_acap(AcapFile("s", [make_record()]), tmp_path / "m.acap")
-        data = path.read_bytes()
+    def test_damaged_file_is_a_value_error_naming_it(self):
+        data = encode_acap(AcapFile("s", [make_record()]))
         for pos in (0, len(data) // 2, len(data) - 1):
             damaged = bytearray(data)
             damaged[pos] ^= 0x01
-            path.write_bytes(bytes(damaged))
-            with pytest.raises(ValueError, match="m.acap"):
-                read_acap(path)
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(ValueError, match="m.acap"):
-            read_acap(path)
+            with pytest.raises(ValueError):
+                decode_acap(bytes(damaged))
+        with pytest.raises(ValueError):
+            decode_acap(data[:len(data) // 2])

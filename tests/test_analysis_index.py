@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.acap import AcapFile, AcapRecord, write_acap
+from repro.analysis.acap import AcapFile, AcapRecord
 from repro.analysis.index import AcapIndex
 
 
@@ -22,15 +22,6 @@ class TestBuild:
         assert len(index) == 2
         assert index.total_frames() == 8
         assert index.sites() == ["MICH", "STAR"]
-
-    def test_from_disk(self, tmp_path):
-        paths = []
-        for site in ("STAR", "MICH"):
-            a = acap(f"{site}.pcap")
-            paths.append(write_acap(a, tmp_path / site / "c0.acap"))
-        index = AcapIndex.build(paths)
-        assert len(index) == 2
-        assert set(index.sites()) == {"STAR", "MICH"}
 
 
 class TestQueries:
@@ -55,19 +46,3 @@ class TestQueries:
         hits = index.in_window(90.0, 110.0)
         assert len(hits) == 1
         assert hits[0].start == 100.0
-
-    def test_entry_duration(self, index):
-        entry = index.for_site("MICH")[0]
-        assert entry.duration == pytest.approx(1.0)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        index = AcapIndex.build_from_memory([
-            acap("out/STAR/a.acap"), acap("out/MICH/b.acap")])
-        path = index.write(tmp_path / "index.csv")
-        loaded = AcapIndex.read(path)
-        assert len(loaded) == 2
-        assert loaded.sites() == index.sites()
-        assert loaded.total_frames() == index.total_frames()
-        assert loaded.with_protocol("tcp")

@@ -6,20 +6,12 @@ traffic on a four-site federation.
 
 
 from repro.analysis import AnalysisPipeline
-from repro.analysis.acap import read_acap
 
 
 class TestPipeline:
     def test_digest_produced_acaps(self, profiled_bundle_and_pipeline):
         bundle, pipeline, _report = profiled_bundle_and_pipeline
         assert len(pipeline.acaps) == len(bundle.pcap_paths)
-
-    def test_acap_files_persisted_and_readable(self, profiled_bundle_and_pipeline):
-        _bundle, pipeline, _report = profiled_bundle_and_pipeline
-        on_disk = sorted(pipeline.acap_dir.rglob("*.acap"))
-        assert len(on_disk) == len(pipeline.acaps)
-        reloaded = read_acap(on_disk[0])
-        assert reloaded.source
 
     def test_index_covers_all_sites(self, profiled_bundle_and_pipeline):
         bundle, pipeline, _report = profiled_bundle_and_pipeline
@@ -104,7 +96,7 @@ class TestQuarantine:
         return paths
 
     def test_corrupt_pcap_quarantined_not_fatal(self, tmp_path):
-        pipeline = AnalysisPipeline(acap_dir=tmp_path / "acap")
+        pipeline = AnalysisPipeline()
         report = pipeline.run(self.make_corpus(tmp_path))
         assert pipeline.stats.quarantined == 1
         assert len(pipeline.acaps) == 2
@@ -112,7 +104,7 @@ class TestQuarantine:
         assert "quarantined" in pipeline.stats.render()
 
     def test_clean_corpus_has_no_quarantines(self, tmp_path):
-        pipeline = AnalysisPipeline(acap_dir=tmp_path / "acap")
+        pipeline = AnalysisPipeline()
         pipeline.run(self.make_corpus(tmp_path, corrupt=0))
         assert pipeline.stats.quarantined == 0
         assert "quarantined" not in pipeline.stats.render()

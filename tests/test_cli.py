@@ -274,6 +274,27 @@ class TestDurableProfile:
         assert main(["profile", "--resume", str(out)]) == 0
         assert "already complete" in capsys.readouterr().out
 
+    def test_digests_live_only_in_the_acap_cache(self, tmp_path, capsys):
+        from repro.analysis.acap import digest_pcap
+        from repro.analysis.cache import AcapCache
+        from repro.core.checkpoint import committed_pcaps
+
+        out = tmp_path / "run"
+        assert main(DURABLE_ARGS + ["--out", str(out)]) == 0
+        assert not (out / "acap").exists()
+        pcaps = [out / rel for rel in committed_pcaps(out)]
+        assert pcaps
+        cache = AcapCache(out / "acap-cache")
+        for pcap in pcaps:
+            acap, _entry = cache.lookup(pcap)
+            assert acap is not None, pcap
+            assert acap.records == digest_pcap(pcap).records
+        analyzed = tmp_path / "analyzed"
+        assert main(["analyze", *map(str, pcaps), "--out", str(analyzed)]) == 0
+        assert (analyzed / "csv").exists()
+        assert not (analyzed / "acap").exists()
+        capsys.readouterr()
+
     def test_resume_rejects_non_campaign_dir(self, tmp_path, capsys):
         assert main(["profile", "--resume", str(tmp_path)]) == 2
         assert "not a campaign run directory" in capsys.readouterr().err

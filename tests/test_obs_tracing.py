@@ -1,7 +1,7 @@
 """Tests for sim-time tracing (repro.obs.tracing)."""
 
 from repro.netsim.engine import Simulator
-from repro.obs import NULL_SPAN, Observability, RunJournal, Tracer, trace_tree
+from repro.obs import NULL_SPAN, Observability, RunJournal, Tracer
 from repro.obs.clock import SimClock
 
 
@@ -102,18 +102,3 @@ class TestDisabled:
             obs.registry.counter("c").inc()
         assert len(obs.journal) == 0
         assert len(obs.registry) == 0
-
-
-class TestTraceTree:
-    def test_tree_reconstruction(self):
-        tracer, journal = make_tracer()
-        with tracer.span("root"):
-            with tracer.span("child-a"):
-                pass
-            with tracer.span("child-b"):
-                pass
-        tree = trace_tree(journal)
-        roots = tree[None]
-        assert [s["name"] for s in roots] == ["root"]
-        children = tree[roots[0]["span"]]
-        assert [s["name"] for s in children] == ["child-a", "child-b"]

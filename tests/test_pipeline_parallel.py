@@ -8,12 +8,11 @@ runs end to end.
 
 import os
 import random
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.acap import (AcapRecord, abstract, digest_pcap,
-                                 dissect_record, write_acap)
+                                 dissect_record, encode_acap)
 from repro.analysis.cache import AcapCache
 from repro.analysis.dissect import Dissector
 from repro.analysis.pipeline import AnalysisPipeline, PipelineStats
@@ -80,9 +79,8 @@ def csv_bytes(report, out_dir):
 class TestParallelEquivalence:
     def test_parallel_output_byte_identical_to_serial(self, tmp_path):
         pcaps = make_corpus(tmp_path / "pcaps")
-        serial = AnalysisPipeline(acap_dir=tmp_path / "acap-s").run(pcaps)
-        parallel = AnalysisPipeline(acap_dir=tmp_path / "acap-p",
-                                    max_workers=4).run(pcaps)
+        serial = AnalysisPipeline().run(pcaps)
+        parallel = AnalysisPipeline(max_workers=4).run(pcaps)
         assert csv_bytes(serial, tmp_path / "csv-s") == \
             csv_bytes(parallel, tmp_path / "csv-p")
 
@@ -126,41 +124,19 @@ class TestParallelEquivalence:
                 assert [r.timestamp.hex() for r in got.records] == \
                     [r.timestamp.hex() for r in want.records]
 
-    def test_parallel_acap_files_are_the_serial_acaps(self, tmp_path):
-        pcaps = make_corpus(tmp_path / "pcaps")
-        serial = AnalysisPipeline()
-        serial.digest(pcaps)
-        parallel = AnalysisPipeline(acap_dir=tmp_path / "out" / "acap",
-                                    max_workers=2,
-                                    cache_dir=tmp_path / "cache")
-        parallel.digest(pcaps)
-        assert parallel.stats.workers == 2
-        written = sorted((tmp_path / "out" / "acap").rglob("*.acap"))
-        assert len(written) == len(pcaps)
-        for acap in serial.acaps:
-            source = Path(acap.source)
-            acap_file = tmp_path / "out" / "acap" / source.parent.name / \
-                (source.stem + ".acap")
-            want = write_acap(acap, tmp_path / "want" / acap_file.name)
-            assert acap_file.read_bytes() == want.read_bytes()
-
     def test_repeated_pcaps_have_one_writer_per_file(self, tmp_path):
-        # The same pcap twice shares a cache entry, and a copy under
-        # another root shares the acap file path (site and stem): one
-        # worker writes each file, the last pcap's acap as before.
+        # The same pcap twice shares a cache entry: one worker, the
+        # first pcap's, writes it.
         pcaps = make_corpus(tmp_path / "a", sites=1, pcaps_per_site=2)
-        copies = make_corpus(tmp_path / "b", sites=1, pcaps_per_site=2)
-        inputs = pcaps + pcaps + copies
+        inputs = pcaps + pcaps
         cache_dir = tmp_path / "cache"
-        pipeline = AnalysisPipeline(acap_dir=tmp_path / "out",
-                                    max_workers=4, cache_dir=cache_dir)
+        pipeline = AnalysisPipeline(max_workers=4, cache_dir=cache_dir)
         report = pipeline.run(inputs)
         assert pipeline.stats.workers == 4
         assert report.total_frames == 40 * len(inputs)
-        for copy in copies:
-            acap_file = tmp_path / "out" / copy.parent.name / (copy.stem + ".acap")
-            assert acap_file.read_bytes() == write_acap(
-                digest_pcap(copy), tmp_path / "want.acap").read_bytes()
+        entries = sorted(cache_dir.rglob("*.acap"))
+        assert sorted(entry.read_bytes() for entry in entries) == \
+            sorted(encode_acap(digest_pcap(pcap)) for pcap in pcaps)
         warm = AnalysisPipeline(max_workers=4, cache_dir=cache_dir)
         assert warm.run(inputs).total_frames == 40 * len(inputs)
         assert warm.stats.cache_hits == len(inputs)
