@@ -13,15 +13,19 @@ import struct
 def ones_complement_sum(data: bytes) -> int:
     """Return the 16-bit one's-complement sum over ``data``.
 
-    Odd-length input is zero-padded on the right, per RFC 1071.
+    Odd-length input is zero-padded on the right, per RFC 1071.  The
+    end-around-carry sum of the big-endian 16-bit words is their plain
+    sum modulo 0xFFFF, and since 2**16 = 1 (mod 0xFFFF) that is the
+    bytes read as one integer modulo 0xFFFF.  Like the word-by-word
+    loop, the result is 0 only when every word is zero, and 0xFFFF for
+    a nonzero multiple of 0xFFFF.
     """
+    value = int.from_bytes(data, "big")
+    if not value:
+        return 0
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-        total = (total & 0xFFFF) + (total >> 16)
-    return total & 0xFFFF
+        value <<= 8
+    return value % 0xFFFF or 0xFFFF
 
 
 def internet_checksum(data: bytes) -> int:

@@ -101,7 +101,6 @@ def peel(frame: Frame) -> Tuple[Frame, Optional[TelemetryShim]]:
     clean = Frame(
         wire_len=frame.wire_len - SHIM_LEN,
         head=frame.head[:-SHIM_LEN],
-        created_at=frame.created_at,
         flow_id=frame.flow_id,
         slice_id=frame.slice_id,
         site=frame.site,
@@ -161,7 +160,6 @@ class IntStamper:
         return Frame(
             wire_len=clone.wire_len + SHIM_LEN,
             head=clone.head + shim.encode(),
-            created_at=clone.created_at,
             flow_id=clone.flow_id,
             slice_id=clone.slice_id,
             site=clone.site,

@@ -29,16 +29,23 @@ class CounterStore:
 
     def __init__(self) -> None:
         self._series: Dict[SeriesKey, List[CounterSample]] = {}
+        # Each series' sample times, extended by ``append``, so that
+        # ``window`` and ``latest_before`` bisect in O(log n).
+        self._times: Dict[SeriesKey, List[float]] = {}
 
     def append(self, site: str, port_id: str, counter: str, time: float, value: float) -> None:
         """Add a sample; timestamps within a series must not go backward."""
         key = (site, port_id, counter)
-        series = self._series.setdefault(key, [])
-        if series and time < series[-1].time:
+        times = self._times.get(key)
+        if times is None:
+            times = self._times[key] = []
+            self._series[key] = []
+        elif time < times[-1]:
             raise ValueError(
-                f"sample for {key} at {time} precedes last sample at {series[-1].time}"
+                f"sample for {key} at {time} precedes last sample at {times[-1]}"
             )
-        series.append(CounterSample(time, value))
+        times.append(time)
+        self._series[key].append(CounterSample(time, value))
 
     def series(self, site: str, port_id: str, counter: str) -> List[CounterSample]:
         """All samples of one series (empty list if never polled)."""
@@ -48,8 +55,9 @@ class CounterStore:
         self, site: str, port_id: str, counter: str, start: float, end: float
     ) -> List[CounterSample]:
         """Samples with ``start <= time <= end``."""
-        samples = self._series.get((site, port_id, counter), [])
-        times = [s.time for s in samples]
+        key = (site, port_id, counter)
+        samples = self._series.get(key, [])
+        times = self._times.get(key, [])
         lo = bisect.bisect_left(times, start)
         hi = bisect.bisect_right(times, end)
         return samples[lo:hi]
@@ -63,8 +71,9 @@ class CounterStore:
         self, site: str, port_id: str, counter: str, time: float
     ) -> Optional[CounterSample]:
         """Most recent sample at or before ``time``, or None."""
-        samples = self._series.get((site, port_id, counter), [])
-        times = [s.time for s in samples]
+        key = (site, port_id, counter)
+        samples = self._series.get(key, [])
+        times = self._times.get(key, [])
         index = bisect.bisect_right(times, time) - 1
         return samples[index] if index >= 0 else None
 

@@ -160,11 +160,12 @@ class Switch:
         self.mac_table[bytes(mac)] = port_id
 
     def _on_ingress(self, ingress_port_id: str, frame: Frame) -> None:
-        if len(frame.head) < 12:
+        l2 = frame.l2
+        if len(l2) < 12:
             self.unknown_dst_frames += 1
             return
-        dst_mac = bytes(frame.head[0:6])
-        src_mac = bytes(frame.head[6:12])
+        dst_mac = l2[0:6]
+        src_mac = l2[6:12]
         # Source learning keeps the table warm for reply traffic.
         self.mac_table.setdefault(src_mac, ingress_port_id)
         out_port_id = self.mac_table.get(dst_mac)

@@ -9,13 +9,15 @@ with a SYN and close with a FIN (occasionally RST, which the paper calls
 out as important control information).
 
 Frames are built once per *shape* -- application, encapsulation,
-address family and frame kind -- as byte templates.  A flow copies its
-shape's template and stamps its own MACs, VLAN ID, MPLS labels, IP
-addresses, application-header bytes and port into the copy, fixing the
-checksums incrementally (RFC 1624); every transmission then re-uses
-that per-flow frame.  Generating a flow costs a few byte writes instead
-of a header-stack build, and a large flow adds only cheap per-frame
-events.
+address family and frame kind -- as byte templates.  A flow builds one
+:class:`~repro.netsim.frame.Frame` per kind it sends and sends that
+object on every transmission.  The frame's head is stamped only when
+something first reads it (a capture, the INT stamper, the NetFlow
+exporter): the flow copies its shape's template and writes its own
+MACs, VLAN ID, MPLS labels, IP addresses, application-header bytes and
+port into the copy, fixing the checksums incrementally (RFC 1624).
+Generating a flow thus costs a few small objects, forwarding reads only
+the frame's MACs, and most frames are never serialized at all.
 """
 
 from __future__ import annotations
@@ -202,24 +204,29 @@ class _Template:
             return src.wire_ipv6 + dst.wire_ipv6
         return src.wire_ipv4 + dst.wire_ipv4
 
+    def check(self, vlan_id: int, mpls_label: int) -> None:
+        """Raise ``ValueError`` if this shape cannot carry the fields."""
+        if self.vlan_at is not None and not 0 <= vlan_id < 4096:
+            raise ValueError(f"VLAN ID out of range: {vlan_id}")
+        for i in range(len(self.mpls_at)):
+            if not 0 <= mpls_label + i < (1 << 20):
+                raise ValueError(f"MPLS label out of range: {mpls_label + i}")
+
     def stamp(self, src: TrafficEndpoint, dst: TrafficEndpoint, vlan_id: int,
               mpls_label: int, app_bytes: bytes) -> bytearray:
-        """This shape's head with another flow's fields written in."""
+        """This shape's head with another flow's fields written in; the
+        fields must have passed :meth:`check`."""
         head = bytearray(self.head)
         macs = dst.wire_mac + src.wire_mac
         head[0:12] = macs
         if self.inner_macs_at is not None:
             head[self.inner_macs_at:self.inner_macs_at + 12] = macs
         if self.vlan_at is not None:
-            if not 0 <= vlan_id < 4096:
-                raise ValueError(f"VLAN ID out of range: {vlan_id}")
             at = self.vlan_at
             head[at] = (head[at] & 0xF0) | (vlan_id >> 8)  # keeps PCP/DEI
             head[at + 1] = vlan_id & 0xFF
         for i, at in enumerate(self.mpls_at):
             label = mpls_label + i
-            if not 0 <= label < (1 << 20):
-                raise ValueError(f"MPLS label out of range: {label}")
             head[at] = label >> 12
             head[at + 1] = (label >> 4) & 0xFF
             head[at + 2] = ((label & 0xF) << 4) | (head[at + 2] & 0x0F)
@@ -248,11 +255,14 @@ class Flow:
 
     Frame templates are built once per shape, keyed on (app, encapsulation,
     IPv6 or not, frame kind), from whichever flow first needs the shape.
-    Every flow stamps its own endpoints, VLAN ID, MPLS labels and
-    application header into a copy (:meth:`_Template.stamp`), then its
-    port or ICMP identifier, each with an incremental checksum update.
-    Creating tens of thousands of small flows thus builds a few dozen
-    frames, and every stamped frame is byte-identical to a full build.
+    A flow builds each of its frames (data, ack, syn, fin or rst) once,
+    without head bytes, and sends that frame on every transmission.  On
+    the frame's first head read, the flow stamps its own endpoints, VLAN
+    ID, MPLS labels and application header into a copy of the template
+    (:meth:`_Template.stamp`), then its port or ICMP identifier, each
+    with an incremental checksum update (:meth:`stamp_head`).  Creating
+    tens of thousands of small flows thus builds a few dozen frames, and
+    every stamped frame is byte-identical to a full build.
     """
 
     _builder = FrameBuilder()
@@ -302,9 +312,10 @@ class Flow:
         if rate_scale <= 0:
             raise ValueError("rate_scale must be positive")
         self.rate_scale = rate_scale
-        self._data_template = self._build_frame(forward=True, kind="data")
-        self._ack_template = self._build_frame(forward=False, kind="ack")
-        self._data_interval = self._data_template.wire_len * 8.0 / (app.rate_bps * rate_scale)
+        # The flow's data and ACK frames, sent on every transmission.
+        self._data_frame = self._build_frame("data")
+        self._ack_frame = self._build_frame("ack")
+        self._data_interval = self._data_frame.wire_len * 8.0 / (app.rate_bps * rate_scale)
         self._payload_per_frame = max(1, self._payload_bytes_per_data_frame())
 
     # -- lifecycle ------------------------------------------------------------
@@ -313,8 +324,8 @@ class Flow:
         """Arm the flow on the simulator."""
         at = max(self.start_time, self.sim.now)
         if self.app.transport == "tcp":
-            syn = self._build_frame(forward=True, kind="syn")
-            self.sim.schedule_at(at, self._send, self.src, syn)
+            syn = self._build_frame("syn")
+            self.sim.schedule_at(at, self.src.send, syn)
             first_data = at + self.rtt  # handshake turnaround
         else:
             first_data = at
@@ -333,15 +344,14 @@ class Flow:
         if self.stop_time is not None and self.sim.now >= self.stop_time:
             self.finished = True
             return
-        frame = self._stamp(self._data_template)
-        self.src.send(frame)
+        self.src.send(self._data_frame)
         self.frames_sent += 1
         self.bytes_sent += self._payload_per_frame
         if self.app.request_response:
             # Request/response apps: each request earns one reply.
-            self.sim.schedule(self.rtt / 2, self._send, self.dst, self._stamp(self._ack_template))
+            self.sim.schedule(self.rtt / 2, self.dst.send, self._ack_frame)
         elif self.app.ack_every > 0 and self.frames_sent % self.app.ack_every == 0:
-            self.sim.schedule(self.rtt / 2, self._send, self.dst, self._stamp(self._ack_template))
+            self.sim.schedule(self.rtt / 2, self.dst.send, self._ack_frame)
         if self.bytes_sent >= self.total_bytes:
             self._finish()
             return
@@ -351,22 +361,8 @@ class Flow:
         self.finished = True
         if self.app.transport == "tcp":
             kind = "rst" if self.rng.random() < self.app.rst_probability else "fin"
-            closing = self._build_frame(forward=True, kind=kind)
-            self.sim.schedule(self._data_interval, self._send, self.src, closing)
-
-    def _send(self, endpoint: TrafficEndpoint, frame: Frame) -> None:
-        endpoint.send(self._stamp(frame))
-
-    def _stamp(self, template: Frame) -> Frame:
-        """A per-transmission copy of a template frame."""
-        return Frame(
-            wire_len=template.wire_len,
-            head=template.head,
-            created_at=self.sim.now,
-            flow_id=self.flow_id,
-            slice_id=template.slice_id,
-            site=template.site,
-        )
+            closing = self._build_frame(kind)
+            self.sim.schedule(self._data_interval, self.src.send, closing)
 
     # -- frame construction ------------------------------------------------
 
@@ -374,15 +370,39 @@ class Flow:
         ip_tcp = 40 if not self.use_ipv6 else 60
         return max(1, self.app.inner_frame_size - 14 - ip_tcp)
 
-    def _build_frame(self, forward: bool, kind: str) -> Frame:
-        """A frame of one kind ('data'/'ack'/'syn'/'fin'/'rst'): the
-        shape's template stamped with this flow's fields and port."""
-        src, dst = (self.src, self.dst) if forward else (self.dst, self.src)
+    def _ends(self, kind: str) -> Tuple[TrafficEndpoint, TrafficEndpoint, bool]:
+        """(sender, receiver, forward or not) of this flow's ``kind``
+        frames: only ACKs run backwards."""
+        if kind == "ack":
+            return self.dst, self.src, False
+        return self.src, self.dst, True
+
+    def _template(self, kind: str) -> _Template:
+        """The template of this flow's ``kind`` frames, built from this
+        flow if no flow of the shape built it yet."""
         key = (self.app.name, self.encap, self.use_ipv6, kind)
         template = self._templates.get(key)
         if template is None:
-            template = self._build_template(src, dst, forward, kind)
-            self._templates[key] = template
+            template = self._templates[key] = self._build_template(kind)
+        return template
+
+    def _build_frame(self, kind: str) -> Frame:
+        """This flow's frame of one kind ('data'/'ack'/'syn'/'fin'/'rst'),
+        without head bytes: :meth:`stamp_head` makes them on first read.
+        The VLAN ID and MPLS labels are checked here, so a bad flow
+        fails when it is created, not when a capture reads its frames."""
+        src, dst, _ = self._ends(kind)
+        template = self._template(kind)
+        template.check(self.vlan_id, self.mpls_label)
+        return Frame(template.wire_len, None, self.flow_id, src.slice_name,
+                     src.site, l2=dst.wire_mac + src.wire_mac, source=self,
+                     kind=kind)
+
+    def stamp_head(self, kind: str) -> bytes:
+        """The head of this flow's ``kind`` frames: the shape's template
+        stamped with the flow's fields and port."""
+        src, dst, forward = self._ends(kind)
+        template = self._template(kind)
         head = template.stamp(src, dst, self.vlan_id, self.mpls_label,
                               self._app_bytes(kind))
         offset = template.transport_at
@@ -394,14 +414,7 @@ class Flow:
             field = offset if forward else offset + 2
             _incremental_checksum_patch(head, field, self.sport,
                                         template.checksum_at, template.udp)
-        return Frame(
-            wire_len=template.wire_len,
-            head=bytes(head),
-            created_at=self.sim.now,
-            flow_id=self.flow_id,
-            slice_id=src.slice_name,
-            site=src.site,
-        )
+        return bytes(head)
 
     def _app_header(self, kind: str) -> Optional[object]:
         """The application header of this flow's ``kind`` frames.
@@ -434,9 +447,9 @@ class Flow:
             self._app_header_bytes[key] = packed
         return packed
 
-    def _build_template(self, src: TrafficEndpoint, dst: TrafficEndpoint,
-                        forward: bool, kind: str) -> _Template:
+    def _build_template(self, kind: str) -> _Template:
         """Build one frame shape with ``FrameBuilder``, from this flow."""
+        src, dst, forward = self._ends(kind)
         stack: List[object] = underlay_stack(
             self.encap, src.mac, dst.mac, self.vlan_id, self.mpls_label,
             inner_src_mac=src.mac, inner_dst_mac=dst.mac,

@@ -21,6 +21,7 @@ uninterrupted reference run.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 from typing import BinaryIO, Union
 
@@ -76,20 +77,30 @@ class FileIO:
 DEFAULT_IO = FileIO()
 
 
-def _tmp_path(path: Path) -> Path:
-    """Temp name in the *same directory* so ``os.replace`` stays atomic
-    (a cross-filesystem rename degrades to copy+delete)."""
-    return path.parent / f".{path.name}.tmp"
+# The mode ``open(path, "wb")`` would give a new file; ``mkstemp``
+# creates its file 0600.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes,
                        io: FileIO = None) -> Path:
-    """Write ``data`` to ``path`` so readers never observe a torn file."""
+    """Write ``data`` to ``path`` so readers never observe a torn file.
+
+    The temp file sits in the *same directory*, so ``os.replace`` stays
+    atomic (a cross-filesystem rename degrades to copy+delete), and is
+    named ``.<name>.<unique>.tmp``, unique per writer: two processes
+    writing one target (two shards filling one cache entry) each
+    replace their own temp file, and the last replace wins.
+    """
     io = io if io is not None else DEFAULT_IO
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _tmp_path(path)
-    with open(tmp, "wb") as handle:
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                               dir=path.parent)
+    os.fchmod(fd, _FILE_MODE)
+    with os.fdopen(fd, "wb") as handle:
         io.write(handle, data)
         io.fsync(handle)
     io.replace(tmp, path)

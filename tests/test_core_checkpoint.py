@@ -154,6 +154,42 @@ class TestAtomicWriteCrashWindows:
         assert target.read_bytes() == b"new-state"
 
 
+class TestAtomicWriteConcurrentWriters:
+    def test_second_writer_of_one_target_does_not_steal_the_temp(self, tmp_path):
+        """Two processes writing one target (two shards filling one acap
+        cache entry) must each replace their own temp file.  Here the
+        other writer runs a whole write between this writer's fsync and
+        its replace; with one temp name per target, this replace found
+        its temp already renamed away and raised FileNotFoundError."""
+        target = tmp_path / "entry.acap"
+
+        class InterleavedIO(FileIO):
+            def replace(self, src, dst):
+                atomic_write_bytes(dst, b"other writer")
+                super().replace(src, dst)
+
+        atomic_write_bytes(target, b"this writer", io=InterleavedIO())
+        assert target.read_bytes() == b"this writer"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_file_mode_is_the_one_open_gives(self, tmp_path):
+        with open(tmp_path / "reference", "wb"):
+            pass
+        atomic_write_bytes(tmp_path / "state.json", b"{}")
+        assert ((tmp_path / "state.json").stat().st_mode
+                == (tmp_path / "reference").stat().st_mode)
+
+    def test_temp_name_is_swept_after_a_crash(self, tmp_path):
+        target = tmp_path / "state.json"
+        io = CrashingIO(3, derive_rng(0, "pre"), mode="pre-replace")
+        with pytest.raises(SimulatedCrash):
+            atomic_write_bytes(target, b"new-state", io=io)
+        (orphan,) = tmp_path.iterdir()
+        assert orphan.name.startswith(".state.json.")
+        assert sweep_tmp_files(tmp_path) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCheckpointStore:
     def test_round_trip_and_checksum(self, tmp_path):
         store = CheckpointStore(tmp_path / CHECKPOINT_DIR)

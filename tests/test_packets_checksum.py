@@ -2,6 +2,9 @@
 
 import struct
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from repro.packets.checksum import (
     PROTO_TCP,
     PROTO_UDP,
@@ -35,6 +38,27 @@ class TestOnesComplement:
 
     def test_all_zero(self):
         assert internet_checksum(b"\x00" * 8) == 0xFFFF
+
+    @given(st.one_of(
+        st.binary(max_size=300),
+        st.integers(0, 300).map(lambda n: b"\x00" * n),
+        st.integers(0, 300).map(lambda n: b"\xff" * n)))
+    @example(b"\xff\xff")
+    @example(b"\xff")
+    @example(b"\x00\x01")
+    def test_matches_rfc1071_loop(self, data):
+        assert ones_complement_sum(data) == rfc1071_sum(data)
+
+
+def rfc1071_sum(data: bytes) -> int:
+    """RFC 1071's word-by-word end-around-carry sum, the oracle."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+        total = (total & 0xFFFF) + (total >> 16)
+    return total & 0xFFFF
 
 
 class TestPseudoHeaders:

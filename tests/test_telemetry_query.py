@@ -341,8 +341,8 @@ class TestShim:
 
     def test_peel_restores_original_frame(self):
         stamper = IntStamper(stamp_every=1)
-        original = Frame(wire_len=500, head=b"\xaa" * 32, created_at=3.0,
-                         flow_id=9, slice_id="s", site="STAR")
+        original = Frame(wire_len=500, head=b"\xaa" * 32, flow_id=9,
+                         slice_id="s", site="STAR")
         stamped = stamper.stamp(original, "p1", now=4.0,
                                 queue_depth_bytes=1000,
                                 queue_limit_bytes=10_000)

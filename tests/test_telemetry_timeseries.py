@@ -1,6 +1,8 @@
 """Tests for the counter store."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry.timeseries import CounterStore
 
@@ -84,3 +86,41 @@ class TestWindowEdges:
         # only time must be monotone.  MFlib handles the reset.
         store.append("STAR", "p1", "tx_bytes", 1200.0, 0)
         assert store.latest("STAR", "p1", "tx_bytes").value == 0
+
+
+KEYS = [("STAR", "p1", "tx_bytes"), ("STAR", "p2", "tx_bytes"),
+        ("MICH", "p1", "rx_bytes")]
+times = st.integers(-2, 12).map(float)
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(KEYS), st.integers(0, 3)),
+    st.tuples(st.just("window"), st.sampled_from(KEYS), times, times),
+    st.tuples(st.just("latest_before"), st.sampled_from(KEYS), times)),
+    max_size=60)
+
+
+class TestQueriesMatchLinearScan:
+    @given(steps)
+    def test_interleaved_appends_and_queries(self, steps):
+        """Each query, wherever it falls among the appends, returns the
+        samples a linear scan over everything appended so far gives."""
+        store = CounterStore()
+        appended = {key: [] for key in KEYS}
+        for step in steps:
+            op, key = step[0], step[1]
+            samples = appended[key]
+            if op == "append":
+                # Steps of 0 repeat a timestamp, which is allowed.
+                time = (samples[-1].time if samples else 0.0) + step[2]
+                store.append(*key, time, len(samples))
+                samples.append(store.latest(*key))
+            elif op == "window":
+                start, end = step[2], step[3]
+                assert store.window(*key, start, end) == [
+                    s for s in samples if start <= s.time <= end]
+            else:
+                before = [s for s in samples if s.time <= step[2]]
+                assert store.latest_before(*key, step[2]) == (
+                    before[-1] if before else None)
+        for key in KEYS:
+            assert store.series(*key) == appended[key]

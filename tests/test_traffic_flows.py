@@ -51,12 +51,12 @@ class TestFlowFrames:
     def test_data_frame_size_includes_underlay(self, world):
         federation, a, b, _c = world
         flow = make_flow(federation, a, b, encap=EncapKind.VLAN_MPLS)
-        assert flow._data_template.wire_len == 1514 + 8
+        assert flow._data_frame.wire_len == 1514 + 8
 
     def test_pw_data_frame_size(self, world):
         federation, a, b, _c = world
         flow = make_flow(federation, a, b, encap=EncapKind.VLAN_MPLS_PW)
-        assert flow._data_template.wire_len == 1514 + 30
+        assert flow._data_frame.wire_len == 1514 + 30
 
     @pytest.mark.parametrize("encap", list(EncapKind))
     def test_overhead_bytes_is_what_the_underlay_adds(self, world, encap):
@@ -67,26 +67,26 @@ class TestFlowFrames:
         federation, a, b, _c = world
         for app in ("http", "ssh", "dns", "ntp"):
             flow = make_flow(federation, a, b, app=app, encap=encap)
-            assert (flow._data_template.wire_len
+            assert (flow._data_frame.wire_len
                     - flow.app.inner_frame_size) == encap.overhead_bytes
 
     def test_ack_is_small(self, world):
         federation, a, b, _c = world
         flow = make_flow(federation, a, b)
-        assert 64 <= flow._ack_template.wire_len <= 127
+        assert 64 <= flow._ack_frame.wire_len <= 127
 
     def test_data_frame_dissects_fully(self, world):
         federation, a, b, _c = world
         flow = make_flow(federation, a, b, app="iperf-tcp",
                          encap=EncapKind.VLAN_MPLS_PW)
-        names = Dissector().dissect(flow._data_template.head).names
+        names = Dissector().dissect(flow._data_frame.head).names
         assert names[:7] == ("eth", "vlan", "mpls", "mpls", "pw", "eth", "ipv4")
         assert "tcp" in names
 
     def test_ipv6_flow(self, world):
         federation, a, b, _c = world
         flow = make_flow(federation, a, b, use_ipv6=True)
-        names = Dissector().dissect(flow._data_template.head).names
+        names = Dissector().dissect(flow._data_frame.head).names
         assert "ipv6" in names and "ipv4" not in names
 
     def test_rejects_empty_flow(self, world):

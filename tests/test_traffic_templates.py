@@ -2,17 +2,23 @@
 
 A flow's frames come from a template built once per (app,
 encapsulation, IPv6 or not, frame kind) by whichever flow first needed
-that shape; every other flow stamps its own fields into a copy.  These
-tests hold the stamped bytes to an independent full ``FrameBuilder``
-build, and pin that a busy window builds each shape once.
+that shape; every other flow stamps its own fields into a copy when
+something first reads a frame's head.  These tests hold the stamped
+bytes to an independent full ``FrameBuilder`` build, pin that a busy
+window builds each shape once, and count stamps: a frame nobody reads
+is never stamped, and a read frame is stamped once however often it is
+sent or mirrored.
 """
 
 import zlib
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import Coordinator, PatchworkConfig, SamplingPlan
 from repro.netsim.engine import Simulator
 from repro.packets.builder import MIN_FRAME_SIZE, FrameBuilder, FrameSpec
 from repro.packets.headers import (
@@ -32,7 +38,9 @@ from repro.packets.headers import (
     ipv6_str,
     mac_str,
 )
-from repro.testbed import FederationBuilder
+from repro.packets.pcap import PcapReader
+from repro.telemetry import SNMPPoller
+from repro.testbed import FederationBuilder, TestbedAPI
 from repro.traffic.encapsulation import EncapKind, underlay_stack
 from repro.traffic.endpoints import TrafficEndpoint
 from repro.traffic.flows import STANDARD_APPS, Flow, _incremental_checksum_patch
@@ -131,12 +139,12 @@ class TestStamping:
         app, encap, use_ipv6, kind = shape
         first = make_flow(app=app, encap=encap, use_ipv6=use_ipv6, **builder)
         second = make_flow(app=app, encap=encap, use_ipv6=use_ipv6, **stamped)
-        forward = kind != "ack"
         Flow._templates.pop((app, encap, use_ipv6, kind), None)
         for flow in (first, second):  # the first builds, the second stamps
-            frame = flow._build_frame(forward=forward, kind=kind)
+            frame = flow._build_frame(kind)
             expected = full_build(flow, kind)
             assert frame.wire_len == len(expected)
+            assert frame.l2 == expected[:12]
             assert frame.head == expected[:len(frame.head)]
 
 
@@ -199,3 +207,91 @@ def test_busy_window_builds_each_shape_once(monkeypatch):
               for kind in ("data", "ack", "syn")
               if kind != "syn" or flow.app.transport == "tcp"}
     assert 0 < len(builds) <= len(shapes)
+
+
+ALL_SHAPES = [(app, encap, use_ipv6, kind)
+              for app in sorted(STANDARD_APPS)
+              for encap in EncapKind
+              for use_ipv6 in (False, True)
+              for kind in (sorted(TCP_FLAGS)
+                           if STANDARD_APPS[app].transport == "tcp"
+                           else ["ack", "data"])]
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_l2_is_the_heads_macs(shape):
+    """Switches forward on ``l2``; it must be what the head carries."""
+    app, encap, use_ipv6, kind = shape
+    flow = make_flow(TrafficEndpoint("SITE", None, "02:e0:00:00:00:01",
+                                     "10.0.0.1", "fd00::1", "slice"),
+                     TrafficEndpoint("SITE", None, "02:e0:00:00:00:02",
+                                     "10.0.0.2", "fd00::2", "slice"),
+                     app, encap=encap, use_ipv6=use_ipv6)
+    frame = flow._build_frame(kind)
+    assert frame.l2 == frame.head[:12]
+
+
+@pytest.fixture()
+def stamp_log(monkeypatch):
+    """Every head stamp, as (flow id, frame kind)."""
+    log = []
+    original = Flow.stamp_head
+
+    def counting(self, kind):
+        log.append((self.flow_id, kind))
+        return original(self, kind)
+
+    monkeypatch.setattr(Flow, "stamp_head", counting)
+    return log
+
+
+def test_unread_frames_are_never_stamped(stamp_log):
+    """A chatty site with no capture, INT stamper or NetFlow exporter
+    forwards thousands of frames and stamps none of them."""
+    federation = FederationBuilder(seed=42).build(site_names=["STAR", "MICH"])
+    orchestrator = TrafficOrchestrator(
+        federation, profiles={"STAR": WORKLOAD_PROFILES["chatty"]}, seed=1,
+        scale=0.005)
+    flows = orchestrator.generate_window(0.0, 4.0)
+    federation.sim.run(until=10.0)
+    assert len(flows) >= 1000
+    assert sum(flow.frames_sent for flow in flows) >= 1000
+    assert stamp_log == []
+
+
+def test_captured_sample_stamps_each_frame_once(stamp_log, tmp_path):
+    """A profile that mirrors and captures stamps each (flow, kind) at
+    most once, though it records many more frames than it stamps."""
+    federation = FederationBuilder(seed=42).build(site_names=["STAR", "MICH"])
+    poller = SNMPPoller(federation, interval=20.0)
+    poller.start()
+    orchestrator = TrafficOrchestrator(federation, seed=7, scale=0.02)
+    orchestrator.setup()
+    orchestrator.generate_window(0.0, 120.0)
+    config = PatchworkConfig(output_dir=tmp_path,
+                             plan=SamplingPlan(2, 10, 2, 1, 2),
+                             desired_instances=1)
+    bundle = Coordinator(TestbedAPI(federation), config,
+                         poller=poller).run_profile()
+    recorded = sum(1 for path in bundle.pcap_paths
+                   for _ in PcapReader(path).iter_raw())
+    stamps = Counter(stamp_log)
+    assert stamps and max(stamps.values()) == 1
+    assert recorded > 2 * len(stamps)
+
+
+@pytest.mark.parametrize("encap, field", [
+    (EncapKind.VLAN, {"vlan_id": 4096}),
+    (EncapKind.VLAN_MPLS, {"vlan_id": -1}),
+    (EncapKind.VLAN_MPLS, {"mpls_label": 1 << 20}),
+    # A pseudowire's second label is the first plus one.
+    (EncapKind.VLAN_MPLS_PW, {"mpls_label": (1 << 20) - 1}),
+])
+def test_out_of_range_fields_fail_at_flow_creation(stamp_log, encap, field):
+    """Checked when the flow is created, though its heads are stamped
+    later, and also when another flow already built the template."""
+    make_flow(ZERO_ENDPOINT, ZERO_ENDPOINT, "iperf-tcp", encap=encap)
+    with pytest.raises(ValueError, match="out of range"):
+        make_flow(ZERO_ENDPOINT, ZERO_ENDPOINT, "iperf-tcp", encap=encap,
+                  **field)
+    assert stamp_log == []
