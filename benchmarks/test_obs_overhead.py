@@ -1,13 +1,14 @@
 """Observability overhead guard (PR acceptance: < 5% on the hot path).
 
-The digest hot path is the most instrumentation-sensitive code in the
-repo (~100k ``dissect_record`` calls per corpus here).  The metrics
-layer batches per-frame counts into local accumulators and flushes once
-per pcap, so:
+The Digest step is the most instrumentation-sensitive code in the
+repo (~100k ``dissect_record`` calls per corpus here).  The dissect
+loop carries no instrument: the pipeline counts each acap into the
+``digest.*`` counters and its ``ledger-digest`` event once, after
+dissection, so:
 
-* with the registry **disabled** (the process default) the loop is the
-  pre-instrumentation loop -- overhead indistinguishable from noise;
-* with the registry **enabled** overhead must stay under 5%.
+* with observability **disabled** (the process default) Digest skips
+  the counting pass -- overhead indistinguishable from noise;
+* with it **enabled** overhead must stay under 5%.
 
 Timings take the best of several trials so a CI noise spike cannot fail
 the gate spuriously.
@@ -22,7 +23,7 @@ import time
 
 import pytest
 
-from repro.analysis.acap import digest_pcap
+from repro.analysis import AnalysisPipeline
 from repro.obs import Observability, scoped
 from repro.packets.builder import FrameBuilder, FrameSpec
 from repro.packets.headers import (
@@ -85,7 +86,9 @@ def best_of(fn, trials=TRIALS):
 
 class TestObsOverhead:
     def test_enabled_overhead_under_5_percent(self, corpus):
-        digest_all = lambda: [digest_pcap(p) for p in corpus]
+        def digest_all():
+            return AnalysisPipeline().digest(corpus)
+
         digest_all()  # warm the page cache before timing anything
 
         baseline_s = best_of(digest_all)  # process default: obs disabled
@@ -103,12 +106,13 @@ class TestObsOverhead:
         assert overhead < MAX_ENABLED_OVERHEAD
 
     def test_disabled_costs_nothing(self, corpus):
-        # The disabled path must not even look up instruments per frame:
-        # one registry access per pcap, then the original loop verbatim.
+        # The disabled path skips the counting pass altogether.
         from repro.obs import get_obs
 
         assert not get_obs().enabled
-        digest_all = lambda: [digest_pcap(p) for p in corpus]
+        def digest_all():
+            return AnalysisPipeline().digest(corpus)
+
         digest_all()
         disabled_s = best_of(digest_all)
         # Sanity floor rather than a flaky ~0% assertion: the disabled

@@ -24,13 +24,13 @@ hundreds-of-sites target.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
 
+from bench_json import merge_bench
 from repro.core.campaign import CampaignManifest, CampaignRunner
 from repro.core.checkpoint import committed_pcaps, sha256_file
 
@@ -44,19 +44,6 @@ MANIFEST = CampaignManifest(
     sharded=True)
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sharding.json"
-
-
-def _merge_bench(section, payload):
-    """Merge one section into BENCH_sharding.json without clobbering
-    what the other test in this module already recorded there."""
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _timed_run(run_dir, manifest, shard_workers):
@@ -106,7 +93,7 @@ def test_sharding_throughput(tmp_path):
         "parity": True,
         "seed": MANIFEST.seed,
     }
-    _merge_bench("throughput8", payload)
+    merge_bench(BENCH_PATH, "throughput8", payload)
     print(f"\nwrote {BENCH_PATH} [throughput8]: {payload}")
 
     # The >= 2x gate needs hardware that can actually run four shard
@@ -161,5 +148,5 @@ def test_sharding_sweep32(tmp_path):
         "parity": True,
         "seed": manifest.seed,
     }
-    _merge_bench("sweep32", payload)
+    merge_bench(BENCH_PATH, "sweep32", payload)
     print(f"\nwrote {BENCH_PATH} [sweep32]: {payload}")

@@ -22,11 +22,11 @@ Run with
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from bench_json import merge_bench
 from repro.core.campaign import CampaignManifest, CampaignRunner
 from repro.obs.journal import RunJournal
 from repro.obs.trace import TraceTree, critical_path_summary
@@ -43,19 +43,6 @@ SERIAL = CampaignManifest(sharded=False, **_MANIFEST_KW)
 SHARDED = CampaignManifest(sharded=True, **_MANIFEST_KW)
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
-
-
-def _merge_bench(section, payload):
-    """Merge one section into BENCH_trace.json without clobbering what
-    the other test in this module already recorded there."""
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager
@@ -116,7 +103,7 @@ def test_tracing_overhead_under_5_percent(tmp_path):
     print(f"\ncampaign ({spans} spans): untraced {baseline_s:.2f}s, "
           f"traced {traced_s:.2f}s -> overhead {overhead:+.2%} "
           f"(gate {MAX_TRACING_OVERHEAD:.0%})")
-    _merge_bench("overhead", {
+    merge_bench(BENCH_PATH, "overhead", {
         "baseline_s": baseline_s,
         "traced_s": traced_s,
         "overhead_pct": round(100.0 * overhead, 3),
@@ -145,7 +132,7 @@ def test_critical_path_serial_vs_sharded(tmp_path):
     leaf = {tag: s["path"][-1]["name"] for tag, s in summaries.items()}
     print(f"\ncritical-path bottleneck: serial={leaf['serial']!r} "
           f"sharded={leaf['sharded']!r}")
-    _merge_bench("critical_path", {
+    merge_bench(BENCH_PATH, "critical_path", {
         "serial": {"total_sim": summaries["serial"]["total_sim"],
                    "stages": summaries["serial"]["stages"],
                    "bottleneck": leaf["serial"]},

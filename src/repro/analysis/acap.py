@@ -23,12 +23,12 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from io import BytesIO
 from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.dissect import DissectedFrame, Dissector
-from repro.obs import get_obs
 from repro.packets.pcap import PcapReader
 
 
@@ -338,34 +338,23 @@ def _classify_application(data: bytes, pos: int, n: int, sport: int,
 
 
 def digest_pcap(pcap_path: Union[str, Path],
-                dissector: Optional[Dissector] = None) -> AcapFile:
+                dissector: Optional[Dissector] = None,
+                data: Optional[bytes] = None) -> AcapFile:
     """The Digest step for one pcap file.
 
     With no ``dissector`` argument the fused fast path
     (:func:`dissect_record`) is used; passing a custom dissector falls
-    back to the generic ``dissect`` + :func:`abstract` route.
+    back to the generic ``dissect`` + :func:`abstract` route.  ``data``
+    is the pcap's bytes when the caller has read them already (the
+    pipeline keys the acap cache on them); the file is read otherwise.
     """
     acap = AcapFile(source=str(pcap_path))
     records = acap.records
-    # One registry lookup per *pcap*; the per-frame loop stays free of
-    # instrument calls either way.  With observability disabled the loop
-    # below is byte-for-byte the pre-instrumentation one; enabled, plain
-    # local accumulators are flushed once at the end.
-    registry = get_obs().registry
-    counting = registry.enabled
-    with PcapReader(pcap_path) as reader:
+    with PcapReader(pcap_path if data is None else BytesIO(data)) as reader:
         if dissector is None:
             append = records.append
-            if counting:
-                nbytes = ntrunc = 0
-                for timestamp, data, orig_len in reader.iter_raw():
-                    rec = dissect_record(data, timestamp, orig_len)
-                    append(rec)
-                    nbytes += rec.captured_len
-                    ntrunc += rec.truncated
-            else:
-                for timestamp, data, orig_len in reader.iter_raw():
-                    append(dissect_record(data, timestamp, orig_len))
+            for timestamp, frame, orig_len in reader.iter_raw():
+                append(dissect_record(frame, timestamp, orig_len))
         else:
             for record in reader:
                 dissected = dissector.dissect(record.data)
@@ -373,17 +362,6 @@ def digest_pcap(pcap_path: Union[str, Path],
                     abstract(dissected, record.timestamp, record.orig_len,
                              len(record.data))
                 )
-            if counting:
-                nbytes = sum(r.captured_len for r in records)
-                ntrunc = sum(r.truncated for r in records)
-    if counting:
-        registry.counter("digest.pcaps", help="pcaps digested").inc()
-        registry.counter("digest.frames", help="frames digested").inc(
-            len(records))
-        registry.counter("digest.bytes",
-                         help="captured bytes digested").inc(nbytes)
-        registry.counter("digest.truncated_frames",
-                         help="frames cut short by the snap length").inc(ntrunc)
     return acap
 
 

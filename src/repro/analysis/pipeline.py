@@ -16,13 +16,20 @@ worker count or completion order.  An optional content-addressed
 earlier run.  :class:`PipelineStats` records what happened (per-stage
 wall time, throughput, cache hits) for the CLI to surface.
 
-The cache is the only place a digest is persisted.  The worker that
-digests a pcap encodes it once
-(:func:`~repro.analysis.acap.encode_acap`) and writes those bytes to
-its cache entry, under the key the parent took *before* dissection.  A
-pool task returns the same bytes, which the parent decodes instead of
-unpickling records.  With one worker the same steps run in process and
-the dissected records are kept as they are.
+The cache is the only place a digest is persisted, and it never shows
+in a run's canonical output.  The parent reads each pcap and looks up
+the sha256 of its bytes.  A miss's entry is keyed by the bytes that
+were dissected for it: with one worker, the bytes the parent read; in
+a pool task, the bytes the task reads itself, so an entry always holds
+the digest of the bytes its key names.  The task encodes the
+acap once (:func:`~repro.analysis.acap.encode_acap`), writes those
+bytes to the entry and returns them, and the parent decodes them
+instead of unpickling records; with one worker the dissected records
+are kept as they are.  Hits and misses decode to the same records, the
+``digest.*`` counters and ``ledger-digest`` events count every acap
+alike, and the cache counts and worker count are volatile, so the
+canonical journal and ``metrics.prom`` are the same with the cache on
+or off, cold or warm, at any worker count.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,47 +51,47 @@ from repro.analysis.index import AcapIndex
 from repro.analysis.report import profile_tables
 from repro.obs import get_obs
 from repro.obs.ledger import CongestionScorecard
-from repro.util.atomio import atomic_write_bytes
 from repro.util.tables import Table
 
 
-def _digest_or_none(path: Path) -> Optional[AcapFile]:
-    """Digest one pcap, mapping corruption to ``None`` (quarantine).
+def _digest_and_store(path: Path, cache: Optional[AcapCache],
+                      data: Optional[bytes] = None,
+                      key: Optional[str] = None
+                      ) -> Tuple[Optional[AcapFile], Optional[bytes]]:
+    """Digest one pcap from ``data``, its bytes (read here when None),
+    and, given a ``cache``, store the acap's :func:`encode_acap` bytes
+    under ``key``, the sha256 of ``data`` (taken here when None).
 
-    A file that cannot even be opened as a pcap (bad magic, truncated
-    global header, vanished from disk) is analysis-poison; the pipeline
-    quarantines it and keeps going rather than aborting the whole run.
+    Returns the acap and the stored bytes (None when nothing was
+    stored).  A file that cannot be read or opened as a pcap (bad
+    magic, truncated global header, vanished from disk) is
+    analysis-poison: the acap is then None, and the pipeline
+    quarantines the pcap and keeps going rather than aborting the run.
     """
     try:
-        return digest_pcap(path)
+        if data is None:
+            data = path.read_bytes()
+        acap = digest_pcap(path, data=data)
     except (ValueError, OSError, struct.error):
-        return None
-
-
-def _digest_and_write(path: Path, entry: Optional[Path]
-                      ) -> Tuple[Optional[AcapFile], Optional[bytes]]:
-    """Digest one pcap and, given a cache ``entry``, write its
-    :func:`encode_acap` bytes there atomically.  Returns the acap (None
-    when quarantined) and those bytes (None when nothing was written)."""
-    acap = _digest_or_none(path)
-    if acap is None or entry is None:
+        return None, None
+    if cache is None:
         return acap, None
-    data = encode_acap(acap)
-    atomic_write_bytes(entry, data)
-    return acap, data
+    entry = encode_acap(acap)
+    cache.store(key or AcapCache.key_for(data), entry)
+    return acap, entry
 
 
-def _digest_task(path: Path, entry: Optional[Path]) -> Optional[bytes]:
-    """One Digest pool task: :func:`_digest_and_write`, returning the
+def _digest_task(path: Path, cache: Optional[AcapCache]) -> Optional[bytes]:
+    """One Digest pool task: :func:`_digest_and_store`, returning the
     acap's :func:`encode_acap` bytes (None when quarantined), which cost
     the parent less to receive and decode than the pickled records.
 
     Module-level so it stays picklable for the process pool.
     """
-    acap, data = _digest_and_write(path, entry)
+    acap, entry = _digest_and_store(path, cache)
     if acap is None:
         return None
-    return data if data is not None else encode_acap(acap)
+    return entry if entry is not None else encode_acap(acap)
 
 
 @dataclass
@@ -143,11 +151,12 @@ class PipelineStats:
     def publish(self, obs=None) -> None:
         """Publish this run into ``repro.obs``.
 
-        Deterministic counts go in as regular instruments; wall-time
-        stage durations are marked volatile so a deterministic journal's
-        metric snapshots exclude them.  The journal's ``pipeline`` event
-        carries the counts always and the timings only when the journal
-        is non-deterministic.
+        Counts that depend only on the pcaps go in as regular
+        instruments.  The cache counts and the worker count depend on
+        the cache's state and the run's parallelism, and stage
+        durations on wall time, so they are volatile: a deterministic
+        journal's metric snapshots and ``pipeline`` event leave them
+        out.
         """
         from repro.obs import get_obs as _get_obs
 
@@ -156,9 +165,9 @@ class PipelineStats:
         registry.counter("pipeline.runs", help="analysis pipeline runs").inc()
         registry.counter("pipeline.pcaps",
                          help="pcaps offered to the Digest stage").inc(self.pcaps)
-        registry.counter("pipeline.cache_hits",
+        registry.counter("pipeline.cache_hits", volatile=True,
                          help="acap cache hits").inc(self.cache_hits)
-        registry.counter("pipeline.cache_misses",
+        registry.counter("pipeline.cache_misses", volatile=True,
                          help="acap cache misses").inc(self.cache_misses)
         registry.counter("pipeline.quarantined",
                          help="corrupt pcaps quarantined by Digest").inc(
@@ -170,12 +179,12 @@ class PipelineStats:
         obs.journal.emit(
             "pipeline",
             pcaps=self.pcaps,
-            workers=self.workers,
             total_frames=self.total_frames,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
             quarantined=self.quarantined,
             volatile={
+                "workers": self.workers,
+                "cache_hits": self.cache_hits,
+                "cache_misses": self.cache_misses,
                 "digest_seconds": self.digest_seconds,
                 "index_seconds": self.index_seconds,
                 "analyze_seconds": self.analyze_seconds,
@@ -265,54 +274,73 @@ class AnalysisPipeline:
         stats = self.stats = PipelineStats(pcaps=len(paths))
         with get_obs().tracer.span("analysis.digest", pcaps=len(paths)) as span:
             self._digest(paths, acaps, stats)
-            # Close with the fan-out outcome so the trace tree carries
-            # cache effectiveness per digest (the lexical exit's end()
-            # is then a no-op).
-            span.end(cache_hits=stats.cache_hits,
-                     cache_misses=stats.cache_misses,
-                     quarantined=stats.quarantined)
+            # Close with the quarantine count (the lexical exit's end()
+            # is then a no-op); the cache counts are not span attributes
+            # because the span is journaled.
+            span.end(quarantined=stats.quarantined)
         stats.digest_seconds = time.perf_counter() - started  # reprolint: disable=RL001 -- volatile stage timing
-        self._journal_digests()
+        self._count_digests()
         return self.acaps
 
-    def _journal_digests(self) -> None:
-        """Emit one ``ledger-digest`` event per acap so ``repro audit``
-        can reconcile digested counts against capture-side ledger rows
-        from the journal alone.  Pcaps are keyed site-qualified
-        ("<parent dir>/<name>"), matching ``SampleLedger.pcap``."""
-        journal = get_obs().journal
-        if not journal.enabled:
+    def _count_digests(self) -> None:
+        """Count every acap, hit or miss, into the ``digest.*``
+        counters, and emit one ``ledger-digest`` event per acap so
+        ``repro audit`` can reconcile digested counts against
+        capture-side ledger rows from the journal alone.  Pcaps are
+        keyed site-qualified ("<parent dir>/<name>"), matching
+        ``SampleLedger.pcap``."""
+        obs = get_obs()
+        registry, journal = obs.registry, obs.journal
+        if not (registry.enabled or journal.enabled):
             return
+        frames = nbytes = ntrunc = 0
         for acap in self.acaps:
-            source = Path(acap.source)
             records = acap.records
+            truncated = sum(1 for r in records if r.truncated)
+            frames += len(records)
+            nbytes += sum(r.captured_len for r in records)
+            ntrunc += truncated
+            source = Path(acap.source)
             journal.emit(
                 "ledger-digest",
                 pcap=f"{source.parent.name}/{source.name}",
                 digested=len(records),
-                truncated=sum(1 for r in records if r.truncated),
+                truncated=truncated,
                 parse_errors=sum(1 for r in records if not r.stack),
             )
+        registry.counter("digest.pcaps", help="pcaps digested").inc(
+            len(self.acaps))
+        registry.counter("digest.frames", help="frames digested").inc(frames)
+        registry.counter("digest.bytes",
+                         help="captured bytes digested").inc(nbytes)
+        registry.counter("digest.truncated_frames",
+                         help="frames cut short by the snap length").inc(ntrunc)
 
     def _digest(self, paths: List[Path], acaps: "List[Optional[AcapFile]]",
                 stats: PipelineStats) -> None:
-        # Each pcap is keyed once, before it is dissected: a pcap that
-        # changes during Digest is then stored under its old key and
-        # re-digested next run, never served short under its new one.
-        entries: List[Optional[Path]] = [None] * len(paths)
-        if self.cache is not None:
-            for i, path in enumerate(paths):
-                acaps[i], entries[i] = self.cache.lookup(path)
-        todo = [i for i, acap in enumerate(acaps) if acap is None]
+        # Look every pcap up by the sha256 of its bytes.  With one
+        # worker a miss is digested at once, from those bytes; with a
+        # pool, misses wait for the fan-out below.
+        cache = self.cache
+        serial = self.max_workers == 1
+        todo = []
+        for i, path in enumerate(paths):
+            data = key = None
+            if cache is not None:
+                try:
+                    data = path.read_bytes()
+                except OSError:
+                    pass  # a miss; digesting it quarantines it
+                else:
+                    key = AcapCache.key_for(data)
+                    acaps[i] = cache.lookup(key, path)
+                    if acaps[i] is not None:
+                        continue
+            todo.append(i)
+            if serial:
+                acaps[i] = _digest_and_store(path, cache, data, key)[0]
         stats.cache_hits = len(paths) - len(todo)
         stats.cache_misses = len(todo)
-        # One writer per entry: a repeated cache entry goes to its
-        # first pcap.
-        claimed = set()
-        for i in todo:
-            if entries[i] in claimed:
-                entries[i] = None
-            claimed.add(entries[i])
 
         # An explicit max_workers is honored as-is (oversubscription is
         # fine; "one per CPU" is decided upstream, by the CLI's
@@ -324,13 +352,13 @@ class AnalysisPipeline:
             # varies run to run -- never leaks into the results.
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 digested = pool.map(_digest_task, [paths[i] for i in todo],
-                                    [entries[i] for i in todo])
+                                    repeat(cache))
                 for i, data in zip(todo, digested):
                     if data is not None:
                         acaps[i] = decode_acap(data)
-        else:
+        elif not serial:
             for i in todo:
-                acaps[i] = _digest_and_write(paths[i], entries[i])[0]
+                acaps[i] = _digest_and_store(paths[i], cache)[0]
 
         quarantined = [paths[i] for i in todo if acaps[i] is None]
         stats.quarantined = len(quarantined)

@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=42)
     profile.add_argument("--workers", type=int, default=1,
                          help="digest worker processes (0 = one per CPU)")
-    profile.add_argument("--no-cache", action="store_true",
-                         help="disable the content-addressed acap cache")
     profile.add_argument("--json", action="store_true",
                          help="print a machine-readable JSON summary")
     profile.add_argument("--occasions", type=int, default=1,
@@ -357,7 +355,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             cycles=args.cycles, desired_instances=args.instances,
             snaplen=args.snaplen, method=args.method,
             workers=_cpu_workers(args.workers),
-            cache_enabled=not args.no_cache,
             traffic_span=args.traffic_span,
             sharded=args.shard_workers > 0,
             telemetry_queries=args.telemetry_queries,

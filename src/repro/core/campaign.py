@@ -70,6 +70,7 @@ class CampaignManifest:
     crash_probability: float = 0.0
     recovery_enabled: bool = False
     workers: int = 1
+    # Output-neutral (DESIGN.md section 6): False only skips the acap cache.
     cache_enabled: bool = True
     # Seconds of traffic to pre-generate per occasion; 0.0 means the
     # conservative formula in ``sharding.run_world`` (plan duration

@@ -81,8 +81,8 @@ class Histogram:
 
     Bucket bounds are fixed at creation; ``observe`` is one C-level
     bisect plus a list-index increment, cheap enough for per-sample use
-    (per-frame call sites should batch locally and flush, see
-    :func:`repro.analysis.acap.digest_pcap`).
+    (per-frame counts should be summed locally and added once, as
+    :class:`repro.analysis.pipeline.AnalysisPipeline` does).
     """
 
     __slots__ = ("name", "help", "volatile", "bounds", "bucket_counts",

@@ -220,7 +220,6 @@ class SiteTrafficGenerator:
         self.scale = scale
         self.endpoints: List[TrafficEndpoint] = []
         self.remote_peers: List[TrafficEndpoint] = []
-        self.flows: List[Flow] = []
         # (VLAN ID, MPLS label) of each of the site's slices.
         self._slice_tags = [
             (100 + _stable_hash(f"{site}/{i}") % 3000,
@@ -261,7 +260,6 @@ class SiteTrafficGenerator:
             if flow is not None:
                 flow.start()
                 created.append(flow)
-        self.flows.extend(created)
         return created
 
     # -- internals ------------------------------------------------------

@@ -124,7 +124,9 @@ class TestSerialization:
         entries = list((tmp_path / "cache").rglob("*.acap"))
         assert len(entries) == 1
         assert entries[0].read_bytes() == encode_acap(digest_pcap(path))
-        acap, _entry = AcapCache(tmp_path / "cache").lookup(path)
+        key = AcapCache.key_for(path.read_bytes())
+        assert entries[0].name == f"{key}.acap"
+        acap = AcapCache(tmp_path / "cache").lookup(key, path)
         assert acap.records == digest_pcap(path).records
 
     def test_rejects_pre_binary_text_file(self):

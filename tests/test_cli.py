@@ -286,7 +286,7 @@ class TestDurableProfile:
         assert pcaps
         cache = AcapCache(out / "acap-cache")
         for pcap in pcaps:
-            acap, _entry = cache.lookup(pcap)
+            acap = cache.lookup(AcapCache.key_for(pcap.read_bytes()), pcap)
             assert acap is not None, pcap
             assert acap.records == digest_pcap(pcap).records
         analyzed = tmp_path / "analyzed"

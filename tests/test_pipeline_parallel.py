@@ -124,9 +124,9 @@ class TestParallelEquivalence:
                 assert [r.timestamp.hex() for r in got.records] == \
                     [r.timestamp.hex() for r in want.records]
 
-    def test_repeated_pcaps_have_one_writer_per_file(self, tmp_path):
-        # The same pcap twice shares a cache entry: one worker, the
-        # first pcap's, writes it.
+    def test_repeated_pcaps_share_one_entry(self, tmp_path):
+        # The same pcap twice shares a cache entry: both workers write
+        # the same bytes to it.
         pcaps = make_corpus(tmp_path / "a", sites=1, pcaps_per_site=2)
         inputs = pcaps + pcaps
         cache_dir = tmp_path / "cache"
@@ -177,23 +177,24 @@ class TestCacheIntegration:
         assert csv_bytes(cold_report, tmp_path / "csv-cold") == \
             csv_bytes(warm_report, tmp_path / "csv-warm")
 
-    def test_touched_pcap_invalidates_only_itself(self, tmp_path):
+    def test_rewritten_pcap_misses_only_itself(self, tmp_path):
         pcaps = make_corpus(tmp_path / "pcaps")
         cache_dir = tmp_path / "cache"
         AnalysisPipeline(cache_dir=cache_dir).digest(pcaps)
-        stat = os.stat(pcaps[0])
-        os.utime(pcaps[0], ns=(stat.st_atime_ns,
-                               stat.st_mtime_ns + 1_000_000_000))
+        with PcapWriter(pcaps[0], snaplen=200) as writer:
+            writer.write(PcapRecord(0.0, corpus_frames()[0][:200]))
         rerun = AnalysisPipeline(cache_dir=cache_dir)
         rerun.digest(pcaps)
         assert rerun.stats.cache_misses == 1
         assert rerun.stats.cache_hits == len(pcaps) - 1
+        assert len(rerun.acaps[0]) == 1
 
-    def test_explicit_invalidation_forces_redigest(self, tmp_path):
+    def test_deleted_entry_forces_redigest(self, tmp_path):
         pcaps = make_corpus(tmp_path / "pcaps", sites=1, pcaps_per_site=1)
         cache_dir = tmp_path / "cache"
         AnalysisPipeline(cache_dir=cache_dir).digest(pcaps)
-        assert AcapCache(cache_dir).invalidate(pcaps[0]) is True
+        key = AcapCache.key_for(pcaps[0].read_bytes())
+        AcapCache(cache_dir).entry_path(key).unlink()
         rerun = AnalysisPipeline(cache_dir=cache_dir)
         rerun.digest(pcaps)
         assert rerun.stats.cache_misses == 1

@@ -43,7 +43,7 @@ BASE = {
 SHARDED = {"sharded": True, "occasions": 1}
 GOLDEN = {
     "audit_ok": True,
-    "journal": "6e1caf2daa4b5d66c021e7b52dca76965d8ed3fa5dff3fc9759ff5f612d50f4b",
+    "journal": "c79cb981541b1c55ad45ba450527e1879491f8df5091afb7eac55029c2cdc515",
     "records": "5c210ab79be4ba0191af773e1506f4b65b9b7af9b7ddcc3fefa04f5a560581f1",
     "pcap_set": "d20869947b1ab3cc5649617b769a395320db0c0559593000bbeb862a3edccccb",
     "pcap_bytes": 577514,
@@ -57,7 +57,7 @@ GOLDEN = {
 SERIAL = {"sharded": False, "occasions": 2, "traffic_span": 120.0}
 GOLDEN_SERIAL = {
     "audit_ok": True,
-    "journal": "31b4db9d3d9a56beece40bd42a92bd00ceb83f90ff64843fe7c21cd3dfbf48c0",
+    "journal": "c87abcd72d9a34dd3e18d736f0d38a473eb064c02c0954da68d444ae0bb238c0",
     "records": "a7113386a54f3e6cbd77a00d23a28b6ac714aa8472e5e4b68498991be419049a",
     "pcap_set": "c54c4744ce4de381e895e273045fe80d0cc498ede0a8dbecf6b81380500e127f",
     "pcap_bytes": 965760,
@@ -74,11 +74,11 @@ PROFILE_ARGS = ["--sites", "STAR", "MICH", "--scale", "0.02",
                 "--sample-duration", "2", "--sample-interval", "10",
                 "--samples", "1", "--cycles", "1", "--instances", "1"]
 GOLDEN_PROFILE = {
-    "journal": "3abb92577e95d46fad569aed5d9dae67454a62a8b7507a306aadca9084788f38",
+    "journal": "bc71cf3583f4f3c1daeb668118f462bd2ef1eb6c3980bf33c589cfca58160ff6",
     "pcap_set": "619e23a3db9c86aecc703e6c6c62728a485a1d61e9f978ef448004e3ed7f64cf",
     "pcap_bytes": 1210224,
     "csv_set": "aec1cf5d9201e8d1692db23fb166558b813762d5703b789ca3bc9edf81bdb502",
-    "metrics": "08e4c2e0c97cfb0727d1f9fe7a728b62dd3b7ea447fb85d588cd2a9dfe37bf8e",
+    "metrics": "db423ace65f81ef22f00fb835c3b092fedecefb0e345806e50935da71d4eb541",
 }
 
 

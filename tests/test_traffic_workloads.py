@@ -1,5 +1,8 @@
 """Tests for workload profiles and the traffic orchestrator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,18 @@ class TestOrchestrator:
             for port in site.switch.uplinks()
         )
         assert uplink_frames > 0
+
+    def test_ended_flows_are_freed(self, orchestrator):
+        # Nothing in the world keeps a flow once it has ended and the
+        # simulator has run past it.
+        orch, fed = orchestrator
+        flows = orch.generate_window(0.0, 5.0, sites=["STAR"])
+        fed.sim.run(until=120.0)
+        ended = [weakref.ref(f) for f in flows if f.finished]
+        assert len(ended) > 10
+        del flows
+        gc.collect()
+        assert [ref for ref in ended if ref() is not None] == []
 
     def test_scale_reduces_frame_count(self):
         def run(scale):
