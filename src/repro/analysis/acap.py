@@ -20,13 +20,13 @@ from __future__ import annotations
 import struct
 import sys
 import zlib
-from array import array
-from dataclasses import dataclass, field
 from functools import partial
 from io import BytesIO
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.analysis.dissect import DissectedFrame, Dissector
 from repro.packets.pcap import PcapReader
@@ -67,18 +67,98 @@ class AcapRecord(NamedTuple):
         return len(self.stack)
 
 
-@dataclass
-class AcapFile:
-    """A digested pcap: its records plus provenance."""
+class AcapColumns(NamedTuple):
+    """An acap as three tables and one array per :class:`AcapRecord`
+    field, in field order.
 
-    source: str
-    records: List[AcapRecord] = field(default_factory=list)
+    ``strings`` holds every address and header name once, ``stacks``
+    every distinct header stack (tuples of names) and ``tags`` every
+    distinct VLAN or MPLS tag tuple.  The ``stack``, ``vlan_ids``,
+    ``mpls_labels``, ``src`` and ``dst`` arrays are ids into those
+    tables; ``timestamp`` is float64 and the rest are integers
+    (``truncated`` as 0/1).  This is the layout :func:`encode_acap`
+    writes, so :func:`decode_acap` reads it without building records.
+    """
+
+    strings: List[str]
+    stacks: List[Tuple[str, ...]]
+    tags: List[Tuple[int, ...]]
+    timestamp: np.ndarray
+    wire_len: np.ndarray
+    captured_len: np.ndarray
+    stack: np.ndarray
+    vlan_ids: np.ndarray
+    mpls_labels: np.ndarray
+    ip_version: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    proto: np.ndarray
+    sport: np.ndarray
+    dport: np.ndarray
+    tcp_flags: np.ndarray
+    truncated: np.ndarray
+
+
+class DigestCounts(NamedTuple):
+    """What the ledger and the ``digest.*`` counters count per acap."""
+
+    frames: int
+    captured_bytes: int
+    truncated: int
+    parse_errors: int      # frames with an empty header stack
+
+
+class AcapFile:
+    """A digested pcap: its frames plus provenance.
+
+    The frames are held as :class:`AcapColumns`, as a list of
+    :class:`AcapRecord`, or both: an acap built from records (Digest)
+    builds its columns on first read of :attr:`columns`, and one decoded
+    from an entry builds its records on first read of :attr:`records`.
+    The Index, the Analyze step and the digest counts read columns
+    only.  An acap is not modified once built.
+    """
+
+    def __init__(self, source: str,
+                 records: Optional[List[AcapRecord]] = None,
+                 columns: Optional[AcapColumns] = None):
+        if records is None and columns is None:
+            records = []
+        self.source = source
+        self._records = records
+        self._columns = columns
+
+    @property
+    def records(self) -> List[AcapRecord]:
+        if self._records is None:
+            self._records = _records_of(self._columns)
+        return self._records
+
+    @property
+    def columns(self) -> AcapColumns:
+        if self._columns is None:
+            self._columns = _columns_of(self._records)
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is not None:
+            return len(self._records)
+        return len(self._columns.timestamp)
 
     def __iter__(self):
         return iter(self.records)
+
+    def digest_counts(self) -> DigestCounts:
+        """Frames, captured bytes, truncated frames and parse errors."""
+        if not len(self):
+            return DigestCounts(0, 0, 0, 0)
+        c = self.columns
+        empty = _lengths(c.stacks) == 0
+        return DigestCounts(
+            frames=len(c.timestamp),
+            captured_bytes=int(c.captured_len.sum(dtype=np.int64)),
+            truncated=int(c.truncated.sum()),
+            parse_errors=int(empty[c.stack].sum()))
 
 
 def abstract(dissected: DissectedFrame, timestamp: float, wire_len: int,
@@ -348,8 +428,7 @@ def digest_pcap(pcap_path: Union[str, Path],
     is the pcap's bytes when the caller has read them already (the
     pipeline keys the acap cache on them); the file is read otherwise.
     """
-    acap = AcapFile(source=str(pcap_path))
-    records = acap.records
+    records: List[AcapRecord] = []
     with PcapReader(pcap_path if data is None else BytesIO(data)) as reader:
         if dissector is None:
             append = records.append
@@ -362,7 +441,7 @@ def digest_pcap(pcap_path: Union[str, Path],
                     abstract(dissected, record.timestamp, record.orig_len,
                              len(record.data))
                 )
-    return acap
+    return AcapFile(str(pcap_path), records)
 
 
 # -- the acap encoding --------------------------------------------------------
@@ -386,8 +465,10 @@ def digest_pcap(pcap_path: Union[str, Path],
 # writer's byte order; int arrays use the narrowest typecode that
 # holds every value.  Timestamps are the float64s themselves, so an
 # entry decodes to exactly the records that were encoded, bit for bit
-# and with the same types.  Decoding builds the tables and the records
-# with C-level map/zip, never a per-record Python loop.
+# and with the same types.  This is the AcapColumns layout: decoding
+# reads each array with np.frombuffer and builds the tables with one
+# zip per distinct tuple length, never a per-record or per-tuple
+# Python loop.
 
 _ENTRY_MAGIC = b"\x89acp"
 ENTRY_VERSION = 1
@@ -395,6 +476,7 @@ _ENTRY_HEADER = struct.Struct("<4sBcQQI")
 _BYTE_ORDER = b"<" if sys.byteorder == "little" else b">"
 _U32 = struct.Struct("<I")
 _INT_CODES = "BHIq"
+_UNSIGNED_TOPS = ((0xFF, "B"), (0xFFFF, "H"), (0xFFFFFFFF, "I"))
 _FLOAT_CODES = "d"
 #: ``truncated`` is stored as 0/1 and decoded through this table, so it
 #: comes back as the ``bool`` it was.
@@ -402,14 +484,15 @@ _BOOLS = [False, True]
 _as_record = partial(tuple.__new__, AcapRecord)
 
 
-def _int_array(values: Sequence[int]) -> array:
-    """``values`` in the narrowest typecode that holds them all."""
-    for code in _INT_CODES[:-1]:
-        try:
-            return array(code, values)
-        except OverflowError:
-            pass
-    return array(_INT_CODES[-1], values)
+def _int_code(values: np.ndarray) -> str:
+    """The narrowest of ``_INT_CODES`` that holds every value."""
+    if len(values) and values.min() < 0:
+        return "q"
+    top = int(values.max()) if len(values) else 0
+    for limit, code in _UNSIGNED_TOPS:
+        if top <= limit:
+            return code
+    return "q"
 
 
 def _intern(values: Sequence) -> Tuple[list, List[int]]:
@@ -420,10 +503,81 @@ def _intern(values: Sequence) -> Tuple[list, List[int]]:
     return table, list(map(ids.__getitem__, values))
 
 
-def _split(lengths: Sequence[int], items: Sequence) -> list:
-    """``items`` cut into consecutive runs of ``lengths``."""
-    ends = list(accumulate(lengths))
-    return list(map(items.__getitem__, map(slice, chain((0,), ends), ends)))
+def _columns_of(records: Sequence[AcapRecord]) -> AcapColumns:
+    """``records`` as tables and arrays, the tables in first-seen order."""
+    n = len(records)
+    (timestamps, wire_len, captured_len, stacks, vlan_ids, mpls_labels,
+     ip_version, src, dst, proto, sport, dport, tcp_flags, truncated) = \
+        zip(*records) if records else [()] * len(AcapRecord._fields)
+    stack_table, stack_ids = _intern(stacks)
+    tag_table, tag_ids = _intern(vlan_ids + mpls_labels)
+    strings, string_ids = _intern(
+        src + dst + tuple(chain.from_iterable(stack_table)))
+
+    def ints(values) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    return AcapColumns(
+        strings, stack_table, tag_table,
+        np.array(timestamps, dtype=np.float64), ints(wire_len),
+        ints(captured_len), ints(stack_ids), ints(tag_ids[:n]),
+        ints(tag_ids[n:]), ints(ip_version), ints(string_ids[:n]),
+        ints(string_ids[n:2 * n]), ints(proto), ints(sport), ints(dport),
+        ints(tcp_flags), ints(truncated))
+
+
+def _records_of(columns: AcapColumns) -> List[AcapRecord]:
+    """The records ``columns`` hold, built with C-level ``map``/``zip``."""
+    c = columns
+    return list(map(_as_record, zip(
+        c.timestamp.tolist(), c.wire_len.tolist(), c.captured_len.tolist(),
+        map(c.stacks.__getitem__, c.stack.tolist()),
+        map(c.tags.__getitem__, c.vlan_ids.tolist()),
+        map(c.tags.__getitem__, c.mpls_labels.tolist()),
+        c.ip_version.tolist(),
+        map(c.strings.__getitem__, c.src.tolist()),
+        map(c.strings.__getitem__, c.dst.tolist()),
+        c.proto.tolist(), c.sport.tolist(), c.dport.tolist(),
+        c.tcp_flags.tolist(), map(_BOOLS.__getitem__, c.truncated.tolist()))))
+
+
+def _lengths(entries: Sequence[Sequence]) -> np.ndarray:
+    return np.fromiter(map(len, entries), np.int64, len(entries))
+
+
+def _tuples(lengths: np.ndarray, items: np.ndarray,
+            table: Optional[list] = None) -> list:
+    """``items`` cut into consecutive tuples of ``lengths``, each item
+    looked up in ``table`` when one is given.
+
+    Entries of one length are built together, by one ``zip`` over that
+    length's item columns, then put back in entry order.
+    """
+    if not len(lengths):
+        return []
+    starts = np.cumsum(lengths) - lengths
+    built: list = []
+    for size in np.flatnonzero(np.bincount(lengths)).tolist():
+        at = starts[lengths == size]
+        if not size:
+            built += [()] * len(at)
+            continue
+        columns = [items[at + j].tolist() for j in range(size)]
+        if table is not None:
+            columns = [list(map(table.__getitem__, column))
+                       for column in columns]
+        built += zip(*columns)
+    # ``built`` lists the entries by length, then by position: the
+    # stable argsort of the lengths.
+    place = np.empty(len(lengths), np.int64)
+    place[np.argsort(lengths, kind="stable")] = np.arange(len(lengths))
+    return list(map(built.__getitem__, place.tolist()))
+
+
+def _check_ids(ids: np.ndarray, size: int) -> None:
+    """Every id in ``ids`` indexes a table of ``size`` entries."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= size):
+        raise ValueError("acap entry has a table id out of range")
 
 
 class _EntryWriter:
@@ -439,14 +593,16 @@ class _EntryWriter:
         self.u32(len(data))
         self.parts.append(data)
 
-    def column(self, values: array) -> None:
-        self.parts.append(values.typecode.encode())
-        self.parts.append(values.tobytes())
+    def column(self, values: np.ndarray, code: Optional[str] = None) -> None:
+        """``values`` under ``code``, by default the narrowest int code."""
+        code = code or _int_code(values)
+        self.parts.append(code.encode())
+        self.parts.append(values.astype(code).tobytes())
 
     def table(self, entries: Sequence[Sequence]) -> None:
         """Entry count and lengths; the caller writes the items."""
         self.u32(len(entries))
-        self.column(_int_array(list(map(len, entries))))
+        self.column(_lengths(entries))
 
 
 class _EntryReader:
@@ -470,56 +626,52 @@ class _EntryReader:
     def blob(self) -> memoryview:
         return self.take(self.u32())
 
-    def column(self, length: int, codes: str = _INT_CODES) -> array:
+    def column(self, length: int, codes: str = _INT_CODES) -> np.ndarray:
         code = chr(self.take(1)[0])
         if code not in codes:
             raise ValueError(f"acap entry has typecode {code!r} where one "
                              f"of {codes!r} belongs")
-        arr = array(code)
-        arr.frombytes(self.take(length * arr.itemsize))
-        return arr
+        dtype = np.dtype(code)
+        return np.frombuffer(self.take(length * dtype.itemsize), dtype)
 
-    def table(self) -> array:
+    def table(self) -> np.ndarray:
         """Entry lengths; the caller reads the items."""
-        return self.column(self.u32())
+        lengths = self.column(self.u32())
+        if len(lengths) and lengths.min() < 0:
+            raise ValueError("acap entry has a negative table length")
+        return lengths
 
 
 def encode_acap(acap: AcapFile) -> bytes:
     """``acap`` as a binary entry (layout above)."""
-    records = acap.records
-    n = len(records)
-    (timestamps, wire_len, captured_len, stacks, vlan_ids, mpls_labels,
-     ip_version, src, dst, proto, sport, dport, tcp_flags, truncated) = \
-        zip(*records) if records else [()] * len(AcapRecord._fields)
-    stack_table, stack_ids = _intern(stacks)
-    tag_table, tag_ids = _intern(vlan_ids + mpls_labels)
-    strings, string_ids = _intern(
-        src + dst + tuple(chain.from_iterable(stack_table)))
+    c = acap.columns
+    string_ids = dict(zip(c.strings, count()))
     out = _EntryWriter()
     out.blob(acap.source.encode("utf-8", "surrogatepass"))
-    out.table(strings)
-    out.blob("".join(strings).encode("utf-8", "surrogatepass"))
-    out.table(stack_table)
-    out.column(_int_array(string_ids[2 * n:]))
-    out.table(tag_table)
-    out.column(_int_array(list(chain.from_iterable(tag_table))))
-    out.column(array(_FLOAT_CODES, timestamps))
-    for column in (wire_len, captured_len, stack_ids, tag_ids[:n],
-                   tag_ids[n:], ip_version, string_ids[:n],
-                   string_ids[n:2 * n], proto, sport, dport, tcp_flags,
-                   truncated):
-        out.column(_int_array(column))
+    out.table(c.strings)
+    out.blob("".join(c.strings).encode("utf-8", "surrogatepass"))
+    out.table(c.stacks)
+    out.column(np.fromiter(
+        map(string_ids.__getitem__, chain.from_iterable(c.stacks)), np.int64))
+    out.table(c.tags)
+    out.column(np.fromiter(chain.from_iterable(c.tags), np.int64))
+    out.column(c.timestamp, _FLOAT_CODES)
+    for name in AcapRecord._fields[1:]:
+        out.column(getattr(c, name))
     body = b"".join(out.parts)
-    return _ENTRY_HEADER.pack(_ENTRY_MAGIC, ENTRY_VERSION, _BYTE_ORDER, n,
-                              len(body), zlib.crc32(body)) + body
+    return _ENTRY_HEADER.pack(_ENTRY_MAGIC, ENTRY_VERSION, _BYTE_ORDER,
+                              len(c.timestamp), len(body),
+                              zlib.crc32(body)) + body
 
 
 def decode_acap(data: bytes) -> AcapFile:
-    """Inverse of :func:`encode_acap`.
+    """Inverse of :func:`encode_acap`: an acap holding the entry's
+    columns, whose records are built only if read.
 
     Raises ``ValueError`` for anything but a whole, intact entry of this
     format version and byte order: a bad magic, an unknown version, a
-    byte-order mismatch, a length mismatch or a crc failure.
+    byte-order mismatch, a length mismatch, a crc failure, an unknown
+    typecode or a table id out of range.
     """
     if len(data) < _ENTRY_HEADER.size:
         raise ValueError("acap entry is shorter than its header")
@@ -541,27 +693,28 @@ def decode_acap(data: bytes) -> AcapFile:
     try:
         source = str(reader.blob(), "utf-8", "surrogatepass")
         lengths = reader.table()
-        strings = _split(lengths, str(reader.blob(), "utf-8", "surrogatepass"))
+        text = str(reader.blob(), "utf-8", "surrogatepass")
+        if int(lengths.sum()) != len(text):
+            raise ValueError("acap entry strings do not fill their table")
+        ends = np.cumsum(lengths).tolist()
+        strings = list(map(text.__getitem__,
+                           map(slice, chain((0,), ends), ends)))
         lengths = reader.table()
-        names = list(map(strings.__getitem__, reader.column(sum(lengths))))
-        stack_table = list(map(tuple, _split(lengths, names)))
+        names = reader.column(int(lengths.sum()))
+        _check_ids(names, len(strings))
+        stacks = _tuples(lengths, names, strings)
         lengths = reader.table()
-        tag_table = list(map(tuple, _split(lengths,
-                                           reader.column(sum(lengths)))))
-        timestamps = reader.column(n, _FLOAT_CODES)
-        (wire_len, captured_len, stacks, vlan_ids, mpls_labels, ip_version,
-         src, dst, proto, sport, dport, tcp_flags, truncated) = [
-            reader.column(n) for _ in range(len(AcapRecord._fields) - 1)]
-        if reader.pos != len(body):
-            raise ValueError(f"acap entry has {len(body) - reader.pos} "
-                             f"bytes past its last column")
-        records = list(map(_as_record, zip(
-            timestamps, wire_len, captured_len,
-            map(stack_table.__getitem__, stacks),
-            map(tag_table.__getitem__, vlan_ids),
-            map(tag_table.__getitem__, mpls_labels), ip_version,
-            map(strings.__getitem__, src), map(strings.__getitem__, dst),
-            proto, sport, dport, tcp_flags, map(_BOOLS.__getitem__, truncated))))
-    except (IndexError, UnicodeDecodeError) as exc:
+        tags = _tuples(lengths, reader.column(int(lengths.sum())))
+        timestamp = reader.column(n, _FLOAT_CODES)
+        ints = [reader.column(n) for _ in AcapRecord._fields[1:]]
+    except UnicodeDecodeError as exc:
         raise ValueError("malformed acap entry") from exc
-    return AcapFile(source=source, records=records)
+    if reader.pos != len(body):
+        raise ValueError(f"acap entry has {len(body) - reader.pos} "
+                         f"bytes past its last column")
+    columns = AcapColumns(strings, stacks, tags, timestamp, *ints)
+    for ids, table in ((columns.stack, stacks), (columns.vlan_ids, tags),
+                       (columns.mpls_labels, tags), (columns.src, strings),
+                       (columns.dst, strings)):
+        _check_ids(ids, len(table))
+    return AcapFile(source, columns=columns)

@@ -1,4 +1,4 @@
-"""The Analyze step: profile statistics over acap records.
+"""The Analyze step: profile statistics over acap columns.
 
 Implements the analyses behind the paper's profile figures:
 
@@ -11,26 +11,20 @@ Implements the analyses behind the paper's profile figures:
   deepest header stack (Fig 11).
 
 :class:`ProfileAccumulator` computes all of them, and the flow
-statistics, from one pass over each acap's records.
+statistics, from the columns of each acap (DESIGN.md §18).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.acap import AcapRecord
-from repro.analysis.flows import (
-    FlowAccumulator,
-    FlowKey,
-    FlowStats,
-    flow_stats,
-    merge_flows,
-    sample_flows,
-)
+from repro.analysis.acap import AcapFile, AcapRecord
+from repro.analysis.flows import FlowGroups, FlowKey, FlowStats, group_flows
 from repro.traffic.distributions import FrameSizeBins, JUMBO_THRESHOLD, PAPER_FRAME_BINS
 
 
@@ -45,15 +39,16 @@ class HeaderDiversity:
 
 
 class ProfileAccumulator:
-    """The Analyze step's one pass over a corpus (DESIGN.md §18).
+    """The Analyze step over a corpus (DESIGN.md §18).
 
-    :meth:`add` folds in one sample -- one acap's records -- and keeps
-    only what the report needs:
+    :meth:`add` folds in one sample -- one acap -- and keeps only what
+    the report needs:
 
-    * per site, every wire length and a count per distinct header stack;
-    * the sample's flows (:func:`~repro.analysis.flows.sample_flows`),
-      merged by key into one accumulator per flow, and the sample's
-      flow count.
+    * per site, the sample's wire-length column and a count per
+      distinct header stack, in first-seen order;
+    * the acap itself, whose flows are grouped with every other
+      sample's by :func:`~repro.analysis.flows.group_flows` on first
+      read of :attr:`flows`.
 
     Every statistic is then computed from those: header occurrence,
     distinct headers and stack depth from the distinct stacks times
@@ -62,10 +57,10 @@ class ProfileAccumulator:
     """
 
     def __init__(self) -> None:
-        self.sizes: Dict[str, List[int]] = {}
+        self.sizes: Dict[str, List[np.ndarray]] = {}
         self.stacks: Dict[str, Counter] = {}
-        self.flows: Dict[tuple, FlowAccumulator] = {}
-        self.flows_per_sample: List[int] = []
+        self.samples: List[AcapFile] = []
+        self._flows: Optional[FlowGroups] = None
 
     @classmethod
     def of(cls, records: Iterable[AcapRecord]) -> "ProfileAccumulator":
@@ -78,35 +73,51 @@ class ProfileAccumulator:
         """One sample per site."""
         profile = cls()
         for site, records in records_by_site.items():
-            profile.add(list(records), site)
+            profile.add(AcapFile(site, list(records)), site)
         return profile
 
-    def add(self, records: Sequence[AcapRecord], site: str) -> None:
+    def add(self, acap: AcapFile, site: str) -> None:
         """Fold one sample, captured at ``site``, into the profile."""
         sizes = self.sizes.get(site)
         if sizes is None:
             sizes = self.sizes[site] = []
             self.stacks[site] = Counter()
-        sizes += [r.wire_len for r in records]
-        self.stacks[site].update([r.stack for r in records])
-        sample = sample_flows(records)
-        self.flows_per_sample.append(len(sample))
-        merge_flows(self.flows, sample)
+        self.samples.append(acap)
+        self._flows = None
+        if not len(acap):
+            return
+        c = acap.columns
+        sizes.append(c.wire_len)
+        # Counting stack ids keeps their first-seen order.
+        counter = self.stacks[site]
+        for stack, frames in Counter(c.stack.tolist()).items():
+            counter[c.stacks[stack]] += frames
+
+    @property
+    def flows(self) -> FlowGroups:
+        """Every sample's flows, grouped together."""
+        if self._flows is None:
+            self._flows = group_flows(self.samples)
+        return self._flows
+
+    @property
+    def flows_per_sample(self) -> List[int]:
+        return self.flows.per_sample
 
     # -- statistics ------------------------------------------------------
 
     @property
     def frames(self) -> int:
-        return sum(len(sizes) for sizes in self.sizes.values())
+        return sum(map(len, chain.from_iterable(self.sizes.values())))
 
     def sites(self) -> List[str]:
         return sorted(self.sizes)
 
-    def frame_sizes(self, site: Optional[str] = None) -> List[int]:
+    def frame_sizes(self, site: Optional[str] = None) -> np.ndarray:
         """Every wire length at ``site``, or at every site."""
-        if site is not None:
-            return self.sizes[site]
-        return [size for sizes in self.sizes.values() for size in sizes]
+        columns = (self.sizes[site] if site is not None
+                   else list(chain.from_iterable(self.sizes.values())))
+        return np.concatenate(columns) if columns else np.zeros(0, np.int64)
 
     def frame_size_distribution(self, site: Optional[str] = None,
                                 bins: FrameSizeBins = PAPER_FRAME_BINS
@@ -118,9 +129,9 @@ class ProfileAccumulator:
     def jumbo_fraction(self, site: Optional[str] = None) -> float:
         """Fraction of frames at/above the jumbo threshold (1519 B)."""
         sizes = self.frame_sizes(site)
-        if not sizes:
+        if not len(sizes):
             return 0.0
-        return float(np.mean(np.asarray(sizes) >= JUMBO_THRESHOLD))
+        return float(np.mean(sizes >= JUMBO_THRESHOLD))
 
     def header_occurrence(self) -> Dict[str, float]:
         """Occurrences of each header per frame, as percentages.
@@ -154,7 +165,7 @@ class ProfileAccumulator:
                     site=site,
                     distinct_headers=len(set().union(*self.stacks[site])),
                     max_stack_depth=max(map(len, self.stacks[site]), default=0),
-                    frames=len(self.sizes[site]))
+                    frames=sum(map(len, self.sizes[site])))
                 for site in self.sites()]
 
     def ip_version_shares(self) -> Dict[str, float]:
@@ -166,12 +177,9 @@ class ProfileAccumulator:
         total = self.frames
         if not total:
             return {"ipv4": 0.0, "ipv6": 0.0, "non-ip": 0.0}
-        v4 = v6 = 0
-        for key, acc in self.flows.items():
-            if key[2] == 4:
-                v4 += acc[0]
-            else:
-                v6 += acc[0]
+        flows = self.flows
+        v4 = int(flows.frames[flows.ip_version == 4].sum())
+        v6 = int(flows.frames[flows.ip_version == 6].sum())
         return {
             "ipv4": v4 / total,
             "ipv6": v6 / total,
@@ -180,7 +188,7 @@ class ProfileAccumulator:
 
     def aggregated_flows(self) -> Dict[FlowKey, FlowStats]:
         """One :class:`FlowStats` per flow, pieced across samples."""
-        return flow_stats(self.flows)
+        return self.flows.stats()
 
 
 def frame_size_distribution(

@@ -9,28 +9,25 @@ conversations with identical 5-tuples in different slices never merge.
 Keys are direction-normalized so a flow's two directions count as one
 flow, matching how flow counts are usually reported.
 
-The Analyze step classifies a corpus's frames into plain accumulators
-and builds one :class:`FlowKey` and :class:`FlowStats` per *aggregated*
-flow at the end (DESIGN.md §18).  :func:`sample_flows` is the one
-per-record pass: it maps each :func:`flow_key` -- a flat tuple, so one
-allocation per frame -- to ``[frames, wire_bytes, first_seen,
-last_seen, tcp_flags_or, samples]``.  :func:`merge_flows` pieces samples
-together and :func:`flow_stats` lifts the result; :func:`classify_flows`
-and :func:`aggregate_flows` are those steps over records and over
-``FlowStats`` respectively.
+:func:`group_flows` is the one classification pass (DESIGN.md §18): it
+groups the IP frames of many samples' acap columns into flows with
+array operations over table ids, and builds one :class:`FlowKey` and
+:class:`FlowStats` per flow only when asked (:meth:`FlowGroups.stats`).
+:func:`classify_flows` runs it over one record list;
+:func:`aggregate_flows` pieces ``FlowStats`` dicts together.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.analysis.acap import AcapRecord
+import numpy as np
+
+from repro.analysis.acap import AcapFile, AcapRecord, _intern, _lengths
 from repro.packets.headers import TCP_FIN, TCP_RST, TCP_SYN
-
-#: A flow accumulator: ``[frames, wire_bytes, first_seen, last_seen,
-#: tcp_flags_or, samples]``.
-FlowAccumulator = List
 
 
 class FlowKey(NamedTuple):
@@ -45,38 +42,18 @@ class FlowKey(NamedTuple):
 
     @classmethod
     def from_record(cls, record: AcapRecord) -> "FlowKey":
-        """Build the direction-normalized key for one acap record."""
-        return _lift(flow_key(
-            record.vlan_ids, record.mpls_labels, record.ip_version,
-            record.src, record.sport, record.dst, record.dport, record.proto))
+        """The direction-normalized key for one acap record.
 
-
-def flow_key(vlan_ids: Tuple[int, ...], mpls_labels: Tuple[int, ...],
-             ip_version: int, src: str, sport: int, dst: str, dport: int,
-             proto: int) -> tuple:
-    """The direction-normalized key, flat: ``(vlan_ids, mpls_labels,
-    ip_version, address_a, port_a, address_b, port_b, proto)``.
-
-    The lower ``(address, port)`` side comes first and the MPLS labels
-    are sorted, so a flow's two directions, and its labels in either
-    stack order, share one key.
-    """
-    if len(mpls_labels) > 1:
-        mpls_labels = tuple(sorted(mpls_labels))
-    if src < dst or (src == dst and sport <= dport):
-        return (vlan_ids, mpls_labels, ip_version, src, sport, dst, dport, proto)
-    return (vlan_ids, mpls_labels, ip_version, dst, dport, src, sport, proto)
-
-
-def _lift(flat: tuple) -> FlowKey:
-    vlan_ids, mpls_labels, ip_version, addr_a, port_a, addr_b, port_b, proto = flat
-    return FlowKey(vlan_ids, mpls_labels, ip_version, (addr_a, port_a),
-                   (addr_b, port_b), proto)
-
-
-def _flatten(key: FlowKey) -> tuple:
-    vlan_ids, mpls_labels, ip_version, (addr_a, port_a), (addr_b, port_b), proto = key
-    return (vlan_ids, mpls_labels, ip_version, addr_a, port_a, addr_b, port_b, proto)
+        The lower ``(address, port)`` side comes first and the MPLS
+        labels are sorted, so a flow's two directions, and its labels
+        in either stack order, share one key.
+        """
+        side_src = (record.src, record.sport)
+        side_dst = (record.dst, record.dport)
+        a, b = ((side_src, side_dst) if side_src <= side_dst
+                else (side_dst, side_src))
+        return cls(record.vlan_ids, tuple(sorted(record.mpls_labels)),
+                   record.ip_version, a, b, record.proto)
 
 
 @dataclass
@@ -113,74 +90,181 @@ class FlowStats:
         self.samples += other.samples
 
 
-def sample_flows(records: Iterable[AcapRecord]) -> Dict[tuple, FlowAccumulator]:
-    """Group one sample's records into flow accumulators.
+@dataclass(frozen=True)
+class FlowGroups:
+    """The flows of a run of samples, in first-seen order.
 
-    Non-IP records (ARP, unparseable) are excluded -- they have no
-    transport-layer identity to classify on.  Every accumulator counts
-    one sample.
+    Entry ``i`` of every per-flow field describes flow ``i``: its key
+    fields, frame and byte sums, first and last timestamp, the OR of
+    its TCP flags and the number of samples it was seen in.
+    ``per_sample`` is each sample's flow count.
     """
-    flows: Dict[tuple, FlowAccumulator] = {}
-    get = flows.get
-    for (timestamp, wire_len, _captured, _stack, vlan_ids, mpls_labels,
-         ip_version, src, dst, proto, sport, dport, tcp_flags,
-         _truncated) in records:
-        if ip_version != 4 and ip_version != 6:
-            continue
-        key = flow_key(vlan_ids, mpls_labels, ip_version, src, sport, dst,
-                       dport, proto)
-        acc = get(key)
-        if acc is None:
-            flows[key] = [1, wire_len, timestamp, timestamp, tcp_flags, 1]
-        else:
-            acc[0] += 1
-            acc[1] += wire_len
-            if timestamp < acc[2]:
-                acc[2] = timestamp
-            if timestamp > acc[3]:
-                acc[3] = timestamp
-            acc[4] |= tcp_flags
-    return flows
+
+    vlan_ids: List[Tuple[int, ...]]
+    mpls_labels: List[Tuple[int, ...]]
+    ip_version: np.ndarray
+    address_a: List[str]
+    port_a: np.ndarray
+    address_b: List[str]
+    port_b: np.ndarray
+    proto: np.ndarray
+    frames: np.ndarray
+    wire_bytes: np.ndarray
+    first_seen: np.ndarray
+    last_seen: np.ndarray
+    tcp_flags: np.ndarray
+    samples: np.ndarray
+    per_sample: List[int]
+
+    @classmethod
+    def empty(cls, samples: int) -> "FlowGroups":
+        ints, floats = np.zeros(0, np.int64), np.zeros(0, np.float64)
+        return cls([], [], ints, [], ints, [], ints, ints, ints, ints,
+                   floats, floats, ints, ints, [0] * samples)
+
+    def stats(self) -> Dict[FlowKey, FlowStats]:
+        """One :class:`FlowKey` and :class:`FlowStats` per flow; a flag
+        is seen if any of the flow's frames carried it."""
+        keys = list(map(
+            FlowKey, self.vlan_ids, self.mpls_labels,
+            self.ip_version.tolist(),
+            zip(self.address_a, self.port_a.tolist()),
+            zip(self.address_b, self.port_b.tolist()), self.proto.tolist()))
+        flags = self.tcp_flags
+        return dict(zip(keys, map(
+            FlowStats, keys, self.frames.tolist(), self.wire_bytes.tolist(),
+            self.first_seen.tolist(), self.last_seen.tolist(),
+            ((flags & TCP_SYN) != 0).tolist(), ((flags & TCP_FIN) != 0).tolist(),
+            ((flags & TCP_RST) != 0).tolist(), self.samples.tolist())))
 
 
-def merge_flows(merged: Dict[tuple, FlowAccumulator],
-                sample: Dict[tuple, FlowAccumulator]) -> None:
-    """Piece one sample's accumulators into ``merged``, by key.
+def _pack(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 per row, equal for two rows exactly when every column is.
 
-    ``merged`` adopts the sample's accumulator lists, so the sample
-    must not be used afterwards.
+    The columns are mixed-radix digits; when the next digit would
+    overflow int64, the key so far is first renumbered densely.
     """
-    get = merged.get
-    for key, acc in sample.items():
-        into = get(key)
-        if into is None:
-            merged[key] = acc
-        else:
-            into[0] += acc[0]
-            into[1] += acc[1]
-            if acc[2] < into[2]:
-                into[2] = acc[2]
-            if acc[3] > into[3]:
-                into[3] = acc[3]
-            into[4] |= acc[4]
-            into[5] += acc[5]
+    key = np.zeros(len(columns[0]), np.int64)
+    span = 1
+    for column in columns:
+        low = column.min()
+        radix = int(column.max() - low) + 1
+        if span * radix >= 1 << 63:
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+        key = key * radix + (column - low)
+        span *= radix
+    return key
 
 
-def flow_stats(flows: Dict[tuple, FlowAccumulator]) -> Dict[FlowKey, FlowStats]:
-    """One :class:`FlowStats` per accumulator; a flag is seen if any of
-    the flow's frames carried it."""
-    stats: Dict[FlowKey, FlowStats] = {}
-    for flat, (frames, wire_bytes, first, last, flags, samples) in flows.items():
-        key = _lift(flat)
-        stats[key] = FlowStats(key, frames, wire_bytes, first, last,
-                               bool(flags & TCP_SYN), bool(flags & TCP_FIN),
-                               bool(flags & TCP_RST), samples)
-    return stats
+def group_flows(acaps: Sequence[AcapFile]) -> FlowGroups:
+    """Group the IP frames of ``acaps``, one sample each, into flows.
+
+    Non-IP frames (ARP, unparseable) are excluded: they have no
+    transport-layer identity to classify on.  Each acap's table ids
+    are mapped to ids of tables interned across all acaps, so one sort
+    of packed key ids groups every sample's frames at once, and each
+    flow's sums come from ``reduceat`` over the sorted frames.
+    """
+    parts = []
+    for sample, acap in enumerate(acaps):
+        if len(acap):
+            c = acap.columns
+            ip = np.flatnonzero((c.ip_version == 4) | (c.ip_version == 6))
+            if len(ip):
+                parts.append((sample, c, ip))
+    if not parts:
+        return FlowGroups.empty(len(acaps))
+
+    # Intern every acap's tables together, and map each acap's ids to
+    # the shared tables' ids.
+    strings, string_ids = _intern(list(chain.from_iterable(
+        c.strings for _, c, _ in parts)))
+    tags, tag_ids = _intern(list(chain.from_iterable(
+        c.tags for _, c, _ in parts)))
+    string_ids, tag_ids = np.array(string_ids), np.array(tag_ids)
+    to_string, to_tag = [], []
+    strings_at = tags_at = 0
+    for _, c, _ in parts:
+        to_string.append(string_ids[strings_at:strings_at + len(c.strings)])
+        to_tag.append(tag_ids[tags_at:tags_at + len(c.tags)])
+        strings_at += len(c.strings)
+        tags_at += len(c.tags)
+
+    def column(name: str, ids: Optional[List[np.ndarray]] = None,
+               dtype: type = np.int64) -> np.ndarray:
+        """Field ``name`` of every acap's IP frames, end to end."""
+        pieces = [getattr(c, name)[ip] for _, c, ip in parts]
+        if ids is not None:
+            pieces = [to[piece] for to, piece in zip(ids, pieces)]
+        return np.concatenate(pieces).astype(dtype, copy=False)
+
+    vlan, mpls = column("vlan_ids", to_tag), column("mpls_labels", to_tag)
+    src, dst = column("src", to_string), column("dst", to_string)
+    sport, dport = column("sport"), column("dport")
+    sample = np.concatenate([np.full(len(ip), i) for i, _, ip in parts])
+
+    # MPLS labels in either stack order are one flow: sort each
+    # multi-label tuple once, then intern the sorted tuples.
+    sorted_tags = list(tags)
+    for i in np.flatnonzero(_lengths(tags) > 1).tolist():
+        sorted_tags[i] = tuple(sorted(tags[i]))
+    labels, label_ids = _intern(sorted_tags)
+    mpls = np.array(label_ids)[mpls]
+
+    # Direction: the lower (address, port) side first, comparing
+    # addresses by their rank in sorted string order.
+    by_text = sorted(range(len(strings)), key=strings.__getitem__)
+    addresses = list(map(strings.__getitem__, by_text))
+    rank = np.empty(len(strings), np.int64)
+    rank[by_text] = np.arange(len(strings))
+    src, dst = rank[src], rank[dst]
+    forward = (src < dst) | ((src == dst) & (sport <= dport))
+    address_a, port_a = np.where(forward, src, dst), np.where(forward, sport, dport)
+    address_b, port_b = np.where(forward, dst, src), np.where(forward, dport, sport)
+
+    version, proto = column("ip_version"), column("proto")
+    key = _pack((vlan, mpls, version, address_a, port_a, address_b, port_b,
+                 proto))
+    perm = np.argsort(key, kind="stable")
+    key, sample = key[perm], sample[perm]
+    head = np.ones(len(key), bool)           # a flow's first frame
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    seen = head.copy()                       # its first frame in a sample
+    seen[1:] |= sample[1:] != sample[:-1]
+    # The stable sort keeps each flow's frames in corpus order, so its
+    # first sorted frame is its first frame; flows go in that order.
+    first = perm[starts]
+    order = np.argsort(first, kind="stable")
+    at = first[order]
+
+    def per_flow(reduce: np.ufunc, values: np.ndarray) -> np.ndarray:
+        return reduce.reduceat(values[perm], starts)[order]
+
+    timestamp = column("timestamp", dtype=np.float64)
+
+    return FlowGroups(
+        vlan_ids=list(map(tags.__getitem__, vlan[at].tolist())),
+        mpls_labels=list(map(labels.__getitem__, mpls[at].tolist())),
+        ip_version=version[at],
+        address_a=list(map(addresses.__getitem__, address_a[at].tolist())),
+        port_a=port_a[at],
+        address_b=list(map(addresses.__getitem__, address_b[at].tolist())),
+        port_b=port_b[at],
+        proto=proto[at],
+        frames=np.diff(np.append(starts, len(key)))[order],
+        wire_bytes=per_flow(np.add, column("wire_len")),
+        first_seen=per_flow(np.minimum, timestamp),
+        last_seen=per_flow(np.maximum, timestamp),
+        tcp_flags=per_flow(np.bitwise_or, column("tcp_flags")),
+        samples=np.add.reduceat(seen.astype(np.int64), starts)[order],
+        per_sample=np.bincount(sample[seen], minlength=len(acaps)).tolist())
 
 
 def classify_flows(records: Iterable[AcapRecord]) -> Dict[FlowKey, FlowStats]:
-    """Group one sample's records into flows (see :func:`sample_flows`)."""
-    return flow_stats(sample_flows(records))
+    """Group one sample's records into flows (see :func:`group_flows`)."""
+    return group_flows([AcapFile("", list(records))]).stats()
 
 
 def aggregate_flows(per_sample: Iterable[Dict[FlowKey, FlowStats]]) -> Dict[FlowKey, FlowStats]:
@@ -190,14 +274,15 @@ def aggregate_flows(per_sample: Iterable[Dict[FlowKey, FlowStats]]) -> Dict[Flow
     aggregate; this is the analysis behind "most flows are short ...
     but some flows were around 100 GB in size".
     """
-    merged: Dict[tuple, FlowAccumulator] = {}
+    merged: Dict[FlowKey, FlowStats] = {}
     for sample in per_sample:
-        merge_flows(merged, {
-            _flatten(key): [s.frames, s.wire_bytes, s.first_seen, s.last_seen,
-                            TCP_SYN * s.syn_seen | TCP_FIN * s.fin_seen
-                            | TCP_RST * s.rst_seen, s.samples]
-            for key, s in sample.items()})
-    return flow_stats(merged)
+        for key, stats in sample.items():
+            into = merged.get(key)
+            if into is None:
+                merged[key] = dataclasses.replace(stats)
+            else:
+                into.merge(stats)
+    return merged
 
 
 def flows_per_sample_counts(per_sample: Iterable[Dict[FlowKey, FlowStats]]) -> List[int]:

@@ -12,8 +12,11 @@ returns; digests themselves are persisted only in the acap cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
+
+import numpy as np
 
 from repro.analysis.acap import AcapFile
 
@@ -50,29 +53,23 @@ class AcapIndex:
 
     @staticmethod
     def entry_for(acap: AcapFile, path: Path) -> IndexEntry:
-        # One pass over the records: time range and protocol set together
-        # (separate min/max/union walks would take three, which adds up
-        # when indexing a whole profile).
+        # The time range is the timestamp column's min and max, and the
+        # protocols are the names in the stacks some frame uses.
         start = end = 0.0
-        protocols: Set[str] = set()
-        first = True
-        for record in acap.records:
-            timestamp = record.timestamp
-            if first:
-                start = end = timestamp
-                first = False
-            elif timestamp < start:
-                start = timestamp
-            elif timestamp > end:
-                end = timestamp
-            protocols.update(record.stack)
+        protocols: frozenset = frozenset()
+        if len(acap):
+            c = acap.columns
+            start, end = float(c.timestamp.min()), float(c.timestamp.max())
+            used = np.flatnonzero(np.bincount(c.stack, minlength=len(c.stacks)))
+            protocols = frozenset(chain.from_iterable(
+                map(c.stacks.__getitem__, used.tolist())))
         return IndexEntry(
             path=str(path),
             site=_site_from_path(path),
             frames=len(acap),
             start=start,
             end=end,
-            protocols=frozenset(protocols),
+            protocols=protocols,
         )
 
     # -- queries ------------------------------------------------------------

@@ -23,9 +23,9 @@ were dissected for it: with one worker, the bytes the parent read; in
 a pool task, the bytes the task reads itself, so an entry always holds
 the digest of the bytes its key names.  The task encodes the
 acap once (:func:`~repro.analysis.acap.encode_acap`), writes those
-bytes to the entry and returns them, and the parent decodes them
-instead of unpickling records; with one worker the dissected records
-are kept as they are.  Hits and misses decode to the same records, the
+bytes to the entry and returns them, and the parent decodes them into
+columns instead of unpickling records; with one worker the dissected
+records are kept as they are.  Hits and misses hold the same frames, the
 ``digest.*`` counters and ``ledger-digest`` events count every acap
 alike, and the cache counts and worker count are volatile, so the
 canonical journal and ``metrics.prom`` are the same with the cache on
@@ -295,18 +295,17 @@ class AnalysisPipeline:
             return
         frames = nbytes = ntrunc = 0
         for acap in self.acaps:
-            records = acap.records
-            truncated = sum(1 for r in records if r.truncated)
-            frames += len(records)
-            nbytes += sum(r.captured_len for r in records)
-            ntrunc += truncated
+            counts = acap.digest_counts()
+            frames += counts.frames
+            nbytes += counts.captured_bytes
+            ntrunc += counts.truncated
             source = Path(acap.source)
             journal.emit(
                 "ledger-digest",
                 pcap=f"{source.parent.name}/{source.name}",
-                digested=len(records),
-                truncated=truncated,
-                parse_errors=sum(1 for r in records if not r.stack),
+                digested=counts.frames,
+                truncated=counts.truncated,
+                parse_errors=counts.parse_errors,
             )
         registry.counter("digest.pcaps", help="pcaps digested").inc(
             len(self.acaps))
@@ -395,7 +394,7 @@ class AnalysisPipeline:
     def _analyze(self) -> ProfileReport:
         profile = ProfileAccumulator()
         for acap in self.acaps:
-            profile.add(acap.records, Path(acap.source).parent.name or "unknown")
+            profile.add(acap, Path(acap.source).parent.name or "unknown")
         aggregated = profile.aggregated_flows()
         return ProfileReport(
             tables=profile_tables(profile, aggregated),

@@ -390,6 +390,10 @@ class CampaignCheckpointer:
         self.log.append("sample", row)
         self.state.samples.setdefault(occasion, []).append(row)
 
+    def sample_rows(self, occasion: int) -> List[Dict[str, Any]]:
+        """The sample rows this process recorded for ``occasion``."""
+        return self.state.samples.get(occasion, [])
+
     def commit_shard(self, occasion: int, site: str,
                      data: Dict[str, Any]) -> None:
         """Durably record one finished shard (fsynced).

@@ -65,6 +65,9 @@ class _ShardSampleCollector:
                       t: float) -> None:
         self.rows.append(sample_row(self.run_dir, occasion, site, record, t))
 
+    def sample_rows(self, occasion: int) -> List[Dict[str, Any]]:
+        return [row for row in self.rows if row["occasion"] == occasion]
+
 
 def shard_task(manifest, occasion: int, run_dir: Union[str, Path],
                site: str, seeds: Dict[str, int],
@@ -147,11 +150,18 @@ def run_world(manifest, occasion: int, run_dir: Union[str, Path],
         pipeline.run(bundle.pcap_paths)
         attach_digests(bundle.ledgers, pipeline.acaps)
         obs.snapshot_to_journal()
+    # Each pcap was hashed for its sample row when its sample ended, and
+    # nothing writes it after that, so the commit map reuses that hash.
+    hashes = {row["pcap"]: row["pcap_sha256"]
+              for row in checkpointer.sample_rows(occasion)}
+    pcaps = {}
+    for pcap in bundle.pcap_paths:
+        rel = str(Path(pcap).relative_to(run_dir))
+        pcaps[rel] = hashes.get(rel) or sha256_file(pcap)
     return {
         "journal": obs.journal,
         "records": [r.to_dict() for r in bundle.run_records],
-        "pcaps": {str(Path(pcap).relative_to(run_dir)): sha256_file(pcap)
-                  for pcap in bundle.pcap_paths},
+        "pcaps": pcaps,
         "sim_end": federation.sim.now,
     }
 

@@ -576,10 +576,8 @@ def attach_digests(ledgers: Iterable[SampleLedger], acaps) -> int:
     for acap in acaps:
         source = Path(acap.source)
         key = f"{source.parent.name}/{source.name}"
-        records = acap.records
-        truncated = sum(1 for r in records if r.truncated)
-        parse_errors = sum(1 for r in records if not r.stack)
-        digests[key] = (len(records), truncated, parse_errors)
+        counts = acap.digest_counts()
+        digests[key] = (counts.frames, counts.truncated, counts.parse_errors)
     matched = 0
     for row in ledgers:
         hit = digests.get(row.pcap)

@@ -4,14 +4,16 @@ import dataclasses
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AnalysisPipeline
-from repro.analysis.acap import AcapFile, AcapRecord
+from repro.analysis.acap import AcapFile, AcapRecord, decode_acap, encode_acap
 from repro.analysis.analyze import (
-    encapsulation_examples, frame_size_distribution, header_occurrence,
-    ip_version_shares, jumbo_fraction, site_header_diversity,
+    ProfileAccumulator, encapsulation_examples, frame_size_distribution,
+    header_occurrence, ip_version_shares, jumbo_fraction,
+    site_header_diversity,
 )
 from repro.analysis.flows import FlowKey, FlowStats, aggregate_flows, classify_flows
 from repro.analysis.report import (
@@ -101,12 +103,13 @@ class TestEncapsulationExamples:
         assert examples[1][1] == 1
 
 
-# -- the one-pass Analyze step against a per-record reference -----------------
+# -- the columnar Analyze step against a per-record reference -----------------
 
 HEADERS = ("eth", "vlan", "mpls", "pw", "ipv4", "ipv6", "tcp", "udp", "icmp",
            "arp", "tls", "data")
 ADDRESSES = ("10.0.0.1", "10.0.0.2", "2001:db8::1", "")
 PORTS = (0, 53, 443, 40000)
+LABELS = (16000, 16001, 17000)
 
 
 @st.composite
@@ -118,8 +121,7 @@ def acap_records(draw):
         captured_len=draw(st.integers(0, 200)),
         stack=tuple(draw(st.lists(st.sampled_from(HEADERS), max_size=9))),
         vlan_ids=tuple(draw(st.lists(st.sampled_from((100, 200)), max_size=2))),
-        mpls_labels=tuple(draw(st.lists(st.sampled_from((16000, 16001, 17000)),
-                                        max_size=3))),
+        mpls_labels=tuple(draw(st.lists(st.sampled_from(LABELS), max_size=3))),
         ip_version=draw(st.sampled_from((0, 4, 6))),
         src=draw(st.sampled_from(ADDRESSES)),
         dst=draw(st.sampled_from(ADDRESSES)),
@@ -142,9 +144,25 @@ def reversed_copy(r, timestamp):
 
 
 @st.composite
+def loopback_pairs(draw):
+    """Both directions of a flow whose two ends share one address, so
+    only the ports decide its direction; the labels are a permutation
+    of two or three, in a different order each way."""
+    r = draw(acap_records())
+    labels = tuple(draw(st.permutations(LABELS))[:draw(st.integers(2, 3))])
+    address = draw(st.sampled_from(ADDRESSES))
+    sport, dport = draw(st.sampled_from([(0, 53), (443, 40000), (53, 53)]))
+    forward = r._replace(src=address, dst=address, sport=sport, dport=dport,
+                         mpls_labels=labels, ip_version=draw(st.sampled_from((4, 6))))
+    return [forward, reversed_copy(forward, draw(st.floats(-1e4, 1e4,
+                                                            allow_nan=False)))]
+
+
+@st.composite
 def samples(draw):
-    """``[(site, records)]``: empty samples, repeated sites, and flows
-    seen in both directions and in several samples."""
+    """``[(site, records)]``: empty samples, repeated sites, flows seen
+    in both directions and in several samples, tag tuples of mixed
+    lengths, and loopback flows told apart by their ports only."""
     pool = draw(st.lists(acap_records(), min_size=1, max_size=6))
     out = []
     for _ in range(draw(st.integers(0, 6))):
@@ -154,6 +172,8 @@ def samples(draw):
             st.sampled_from(pool),
             st.builds(reversed_copy, st.sampled_from(pool),
                       st.floats(-1e4, 1e4, allow_nan=False))), max_size=12))
+        for pair in draw(st.lists(loopback_pairs(), max_size=2)):
+            records[draw(st.integers(0, len(records))):0] = pair
         out.append((site, records))
     return out
 
@@ -274,33 +294,66 @@ def as_dicts(tables):
     return {name: table.to_dict() for name, table in tables.items()}
 
 
-class TestOnePassModel:
-    @settings(max_examples=200, deadline=None)
-    @given(drawn=samples())
-    def test_pipeline_matches_per_record_reference(self, drawn):
-        by_site, everything = {}, []
-        for site, records in drawn:
-            by_site.setdefault(site, []).extend(records)
-            everything.extend(records)
-        per_sample = [reference_flows(records) for _site, records in drawn]
-        counts = [len(flows) for flows in per_sample]
-        aggregated = reference_aggregate(per_sample)
+def as_acaps(drawn, encoded):
+    """The drawn samples as acaps: built from their records, or decoded
+    from their entries (narrow integer columns, no records)."""
+    acaps = [AcapFile(f"corpus/{site}/sample{i}.pcap", list(records))
+             for i, (site, records) in enumerate(drawn)]
+    if encoded:
+        acaps = [decode_acap(encode_acap(acap)) for acap in acaps]
+    return acaps
 
+
+def check_pipeline_against_reference(drawn):
+    by_site, everything = {}, []
+    for site, records in drawn:
+        by_site.setdefault(site, []).extend(records)
+        everything.extend(records)
+    per_sample = [reference_flows(records) for _site, records in drawn]
+    counts = [len(flows) for flows in per_sample]
+    aggregated = reference_aggregate(per_sample)
+    stacks = {}
+    for site, records in drawn:
+        stacks.setdefault(site, Counter()).update(r.stack for r in records)
+
+    for encoded in (False, True):
         pipeline = AnalysisPipeline()
-        pipeline.acaps = [AcapFile(f"corpus/{site}/sample{i}.pcap", list(records))
-                          for i, (site, records) in enumerate(drawn)]
+        pipeline.acaps = as_acaps(drawn, encoded)
         report = pipeline.analyze()
 
         assert as_dicts(report.tables) == as_dicts(
             reference_tables(by_site, everything, counts, aggregated))
         assert report.flows_per_sample == counts
         assert flow_fields(report.aggregated_flows) == flow_fields(aggregated)
+        # Flows in first-seen order, as the reference dicts insert them.
+        assert list(report.aggregated_flows) == list(aggregated)
         assert all(type(key) is FlowKey and key == stats.key
                    for key, stats in report.aggregated_flows.items())
         assert report.total_frames == len(everything)
         assert report.sites == sorted(by_site)
         assert report.ipv6_fraction == reference_ip_shares(everything)["ipv6"]
         assert report.jumbo_fraction == reference_sizes(everything)[1]
+
+        profile = ProfileAccumulator()
+        for acap, (site, _records) in zip(pipeline.acaps, drawn):
+            profile.add(acap, site)
+        # Stack counts in first-seen order, as Counter.update counts.
+        assert {site: list(counter.items())
+                for site, counter in profile.stacks.items()} == \
+            {site: list(counter.items()) for site, counter in stacks.items()}
+
+
+class TestOnePassModel:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=samples())
+    def test_pipeline_matches_per_record_reference(self, drawn):
+        check_pipeline_against_reference(drawn)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(drawn=samples())
+    def test_pipeline_matches_per_record_reference_deep(self, drawn):
+        check_pipeline_against_reference(drawn)
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=samples())

@@ -7,8 +7,8 @@ import shutil
 import pytest
 
 from repro.analysis import AnalysisPipeline
-from repro.analysis.acap import (ENTRY_VERSION, decode_acap, digest_pcap,
-                                 encode_acap)
+from repro.analysis.acap import (ENTRY_VERSION, AcapFile, decode_acap,
+                                 digest_pcap, encode_acap)
 from repro.analysis.cache import AcapCache
 from repro.obs import Observability, scoped
 from repro.packets.builder import FrameBuilder, FrameSpec
@@ -219,6 +219,24 @@ class TestBinaryEntries:
             decode_acap(bytes(data))
         self.assert_miss_then_rewritten(cache, pcap, bytes(data))
 
+    @pytest.mark.parametrize("column", ["stack", "vlan_ids", "mpls_labels",
+                                        "src", "dst"])
+    def test_out_of_range_table_id_is_a_miss(self, cache, pcap, column):
+        # A whole entry with a valid crc whose stack, tag or string id
+        # points past the end of its table.
+        acap = digest_pcap(pcap)
+        ids = getattr(acap.columns, column).copy()
+        ids[-1] = {"stack": len(acap.columns.stacks),
+                   "vlan_ids": len(acap.columns.tags),
+                   "mpls_labels": len(acap.columns.tags),
+                   "src": len(acap.columns.strings),
+                   "dst": len(acap.columns.strings)}[column]
+        data = encode_acap(AcapFile(
+            acap.source, columns=acap.columns._replace(**{column: ids})))
+        with pytest.raises(ValueError, match="out of range"):
+            decode_acap(data)
+        self.assert_miss_then_rewritten(cache, pcap, data)
+
     def test_old_text_entry_is_a_miss(self, cache, pcap):
         # An entry in the tab-separated text form that acap files and
         # cache entries had before the binary encoding.
@@ -338,3 +356,31 @@ class TestCacheIsInvisible:
         assert '"ledger-digest"' in reference
         for state, journal in journals.items():
             assert journal == reference, state
+
+
+class TestWarmRunReadsColumns:
+    def test_warm_run_builds_no_records(self, tmp_path, monkeypatch):
+        """Served from the cache, Digest, the digest counts, the Index,
+        the Analyze step and the ledger read columns only."""
+        from repro.obs.ledger import attach_digests
+
+        pcaps = [write_pcap(tmp_path / "STAR" / "a.pcap", n=7),
+                 write_pcap(tmp_path / "MICH" / "b.pcap", n=4, sport=40001),
+                 write_pcap(tmp_path / "UTAH" / "e.pcap", n=0)]
+        cache_dir = tmp_path / "cache"
+        cold = AnalysisPipeline(cache_dir=cache_dir).run(pcaps)
+        reads = []
+        records = AcapFile.records
+        monkeypatch.setattr(AcapFile, "records", property(
+            lambda acap: reads.append(acap.source) or records.fget(acap)))
+        with scoped(Observability.create()):
+            pipeline = AnalysisPipeline(cache_dir=cache_dir)
+            warm = pipeline.run(pcaps)
+            attach_digests([], pipeline.acaps)
+        assert pipeline.stats.cache_hits == len(pcaps)
+        assert warm.tables.keys() == cold.tables.keys()
+        assert all(warm.tables[name].to_dict() == cold.tables[name].to_dict()
+                   for name in cold.tables)
+        assert reads == []
+        assert len(pipeline.acaps[0].records) == 7
+        assert reads == [str(pcaps[0])]

@@ -111,3 +111,32 @@ class TestAggregate:
                    classify_flows([record(), record(sport=2)]),
                    classify_flows([])]
         assert flows_per_sample_counts(samples) == [1, 2, 0]
+
+
+class TestWideKeys:
+    def test_wide_key_columns_group_like_the_record_key(self):
+        """Keys whose columns span more than 63 bits together (full
+        port and protocol ranges, 20-bit labels) group exactly as
+        :meth:`FlowKey.from_record` keys do, in first-seen order."""
+        import random
+
+        rng = random.Random(3)
+        records = [record(
+            src=f"10.{rng.randrange(256)}.0.{rng.randrange(256)}",
+            dst=f"10.9.{rng.randrange(256)}.{rng.randrange(256)}",
+            sport=rng.randrange(65536), dport=rng.randrange(65536),
+            vlans=(rng.randrange(4096),),
+            mpls=tuple(rng.randrange(1 << 20) for _ in range(rng.randrange(3))),
+            proto=rng.randrange(256), ts=float(i)) for i in range(300)]
+        records += [record(src=r.dst, dst=r.src, sport=r.dport, dport=r.sport,
+                           vlans=r.vlan_ids, mpls=r.mpls_labels[::-1],
+                           proto=r.proto, ts=1000.0 + i)
+                    for i, r in enumerate(records[:100])]
+        expected = {}
+        for r in records:
+            key = FlowKey.from_record(r)
+            expected[key] = expected.get(key, 0) + 1
+        flows = classify_flows(records)
+        assert list(flows) == list(expected)
+        assert {key: stats.frames for key, stats in flows.items()} == expected
+        assert max(expected.values()) == 2

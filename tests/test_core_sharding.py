@@ -247,3 +247,35 @@ class TestShardCompanion:
         assert flows
         assert all(flow.src.site == site for flow in flows)
         assert any(flow.dst.site == companion for flow in flows)
+
+
+class TestShardHashing:
+    def test_each_committed_pcap_is_hashed_once(self, tmp_path, monkeypatch):
+        """A shard hashes each pcap once, for its sample row when the
+        sample ends; the commit map reuses that hash."""
+        import dataclasses
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.core import checkpoint, sharding
+
+        real = checkpoint.sha256_file
+        calls = Counter()
+
+        def counting(path):
+            calls[Path(path).resolve()] += 1
+            return real(path)
+
+        monkeypatch.setattr(checkpoint, "sha256_file", counting)
+        monkeypatch.setattr(sharding, "sha256_file", counting)
+        manifest = dataclasses.replace(TINY_SHARDED, cache_enabled=False)
+        site = manifest.sites[0]
+        result = sharding.run_shard(sharding.shard_task(
+            manifest, 0, tmp_path, site, manifest.shard_seeds(0, site)))
+        assert result["pcaps"], "the shard committed no pcap"
+        for rel, sha in result["pcaps"].items():
+            path = (tmp_path / rel).resolve()
+            assert calls[path] == 1, rel
+            assert sha == real(path)
+        assert {row["pcap"]: row["pcap_sha256"]
+                for row in result["samples"]} == result["pcaps"]
