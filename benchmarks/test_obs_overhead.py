@@ -1,8 +1,8 @@
 """Observability overhead guard (PR acceptance: < 5% on the hot path).
 
 The Digest step is the most instrumentation-sensitive code in the
-repo (~100k ``dissect_record`` calls per corpus here).  The dissect
-loop carries no instrument: the pipeline counts each acap into the
+repo (~100k frames per corpus here).  The columnar walk carries no
+instrument: the pipeline counts each acap into the
 ``digest.*`` counters and its ``ledger-digest`` event once, after
 dissection, so:
 

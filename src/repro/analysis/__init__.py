@@ -26,7 +26,6 @@ from repro.analysis.acap import (
     AcapFile,
     AcapRecord,
     digest_pcap,
-    dissect_record,
 )
 from repro.analysis.cache import AcapCache
 from repro.analysis.index import AcapIndex, IndexEntry
@@ -54,7 +53,6 @@ __all__ = [
     "AcapFile",
     "AcapRecord",
     "digest_pcap",
-    "dissect_record",
     "AcapIndex",
     "IndexEntry",
     "FlowKey",

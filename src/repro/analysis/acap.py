@@ -21,6 +21,7 @@ import struct
 import sys
 import zlib
 from functools import partial
+from operator import getitem
 from io import BytesIO
 from itertools import chain, count
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.dissect import DissectedFrame, Dissector
-from repro.packets.pcap import PcapReader
+from repro.packets.pcap import PcapReader, RecordTable, record_table
 
 
 class AcapRecord(NamedTuple):
@@ -203,218 +204,498 @@ def abstract(dissected: DissectedFrame, timestamp: float, wire_len: int,
     )
 
 
-# -- the Digest hot path ------------------------------------------------------
+# -- the Digest walk ----------------------------------------------------------
 #
-# ``dissect_record`` is a fused rewrite of ``Dissector.dissect`` +
-# ``abstract``: it walks the same header chain but extracts *only* the
-# fields an AcapRecord keeps, indexing into the frame bytes directly --
-# no per-header HeaderInfo objects, field dicts, MAC-address strings, or
-# memoryview slices.  Over a large corpus this is the difference between
-# the pipeline being dissection-bound and being I/O-bound, and its
-# output is bit-identical to the generic path (enforced by tests).
+# With no custom dissector, Digest walks all of a pcap's frames at once,
+# one header layer at a time, over arrays of frame indices and byte
+# positions (DESIGN.md §20).  It follows ``Dissector.dissect`` layer for
+# layer and yields exactly the columns ``abstract`` would give, frame by
+# frame (enforced by tests), without a per-frame Python step.
 
+#: Every header name the walk emits; a stack is recorded as ids into it.
+_NAMES = ("eth", "vlan", "mpls", "pw", "arp", "ipv4", "ipv6", "tcp", "udp",
+          "icmp", "tls", "ssh", "dns", "http", "ntp", "iperf", "padding",
+          "data")
+_NAME_IDS = {name: i for i, name in enumerate(_NAMES)}
+
+
+def _lookup(size: int, kinds: dict) -> np.ndarray:
+    """A lookup table of ``size`` entries: ``kinds[value]``, else 0."""
+    table = np.zeros(size, np.uint8)
+    for value, kind in kinds.items():
+        table[value] = kind
+    return table
+
+
+# What a value leads to, as an index into the layer names beside it;
+# "rest" is the padding/data remainder.
+_ETHERTYPES = _lookup(1 << 16, {0x8100: 1, 0x8847: 2, 0x0800: 3,
+                                0x86DD: 4, 0x0806: 5})
+_AFTER_ETHERTYPE = ("rest", "vlan", "mpls", "ipv4", "ipv6", "arp")
+_NIBBLES = _lookup(16, {0: 1, 4: 2, 6: 3})      # first nibble under MPLS
+_AFTER_MPLS = ("rest", "pw", "ipv4", "ipv6")
+_PROTOS = _lookup(256, {6: 1, 17: 2, 1: 3, 58: 3})
+_AFTER_IP = ("rest", "tcp", "udp", "icmp")
+#: By first byte, an IPv4 header's length, and by its thirteenth byte
+#: the bytes a TCP header needs; a byte that makes the header bad needs
+#: more than any frame has left (a u32 ``incl_len`` at most), so it
+#: fails the frame's length test.
+_NEVER = 1 << 40
+_IHL = np.array([(b & 15) * 4 if b >> 4 == 4 and b & 15 >= 5 else _NEVER
+                 for b in range(256)])
+_TCP_NEED = np.array([20 if b >> 4 >= 5 else _NEVER for b in range(256)])
+
+
+#: The walk takes these layers in order, each with all the frames queued
+#: for it.  A layer comes after every layer that leads to it, except
+#: Ethernet behind a pseudowire, which starts the order over; so each
+#: layer from ARP on runs once, after every frame's Ethernet chains.
+_LAYERS = ("eth", "vlan", "mpls", "below", "pw", "arp", "ipv4", "ipv6",
+           "tcp", "udp", "icmp", "app")
+
+# The application layer: a port's classifier, as an index into _APPS.
+_PORTS = _lookup(1 << 16, {443: 1, 22: 2, 53: 3, 80: 4, 123: 5, 5201: 6})
+_APPS = (None, "tls", "ssh", "dns", "http", "ntp", "iperf")
+_APP_NAME_IDS = np.array([0] + [_NAMES.index(app) for app in _APPS[1:]])
+#: TLS record heads by their first two bytes (content type, major
+#: version), and NTP first bytes (version 3 or 4, a nonzero mode).
+_TLS_HEADS = np.zeros(1 << 16, bool)
+_TLS_HEADS[[kind << 8 | 3 for kind in (20, 21, 22, 23)]] = True
+_NTP_FIRST = np.array([(b >> 3) & 7 in (3, 4) and b & 7 != 0
+                       for b in range(256)])
+_HTTP_HEAD = np.frombuffer(b"HTTP/1.", np.uint8)
+_SSH_HEAD = np.frombuffer(b"SSH-", np.uint8)
+_METHODS = (b"GET", b"POST", b"PUT", b"HEAD", b"DELETE", b"OPTIONS",
+            b"PATCH")
+#: Each request method as 8 bytes, zero-filled, read as one integer.
+_METHOD_WORDS = np.frombuffer(b"".join(m.ljust(8, b"\0") for m in _METHODS),
+                              np.uint64)
+_METHOD_MASKS = np.frombuffer(b"".join(b"\xff" * len(m) + b"\0" * (8 - len(m))
+                                       for m in _METHODS), np.uint64)
+_METHOD_LENGTHS = np.array([len(m) for m in _METHODS])
+
+#: The walk reads windows past a frame's last byte and masks what it
+#: read there; the digested bytes are padded so no read leaves them.
+_SLACK = 256
 _V6_WORDS = struct.Struct("!8H")
-_MPLS_ENTRY = struct.Struct("!I")
-
-_HTTP_METHODS = frozenset(
-    ("GET", "POST", "PUT", "HEAD", "DELETE", "OPTIONS", "PATCH"))
-
-
-class _Truncated(Exception):
-    pass
+#: Address keys: -1 is the "" of a non-IP frame, an IPv4 address is its
+#: u32 value and the i-th distinct IPv6 address is ``_V6_KEYS + i``.
+_V6_KEYS = 1 << 32
+_OCTET_SHIFTS = np.array([24, 16, 8, 0])
+_DECIMAL = [str(i) for i in range(256)]
 
 
-#: Builds an :class:`AcapRecord` from a tuple of all its field values in
-#: field order, skipping the generated ``__new__``'s argument binding.
-#: The Digest hot paths build one record per frame this way.
-_new_record = tuple.__new__
+def _merge(groups: List[np.ndarray]) -> np.ndarray:
+    """One group from several."""
+    if len(groups) == 1:
+        return groups[0]
+    return np.concatenate(groups, axis=1)
 
 
-def dissect_record(data: bytes, timestamp: float, wire_len: int) -> AcapRecord:
-    """Dissect one frame prefix straight into an :class:`AcapRecord`.
+def _split(kinds: np.ndarray, group: np.ndarray) -> List[tuple]:
+    """``(kind, the group's frames of that kind)`` for each kind present."""
+    counts = np.bincount(kinds).tolist()
+    present = [kind for kind, size in enumerate(counts) if size]
+    if len(present) == 1:
+        return [(present[0], group)]
+    group = group.take(np.argsort(kinds, kind="stable"), axis=1)
+    groups, start = [], 0
+    for kind in present:
+        stop = start + counts[kind]
+        groups.append((kind, group[:, start:stop]))
+        start = stop
+    return groups
 
-    Equivalent to ``abstract(Dissector().dissect(data), ...)`` but
-    several times faster; :func:`digest_pcap` uses it whenever no custom
-    dissector is supplied.
+
+# Rows of _Walk.fields: one column per frame.
+_VERSION, _PROTO, _SPORT, _DPORT, _FLAGS, _TRUNCATED = range(6)
+
+
+class _Walk:
+    """One pcap's frames, walked a layer at a time.
+
+    A group is an int64 array with one column per frame: its index, the
+    byte position of its next header and its end (rows 0, 1 and 2).  A
+    layer handler reads each field with one gather at a fixed offset
+    from the positions, writes the columns of the frames that hold the
+    header and queues them for the layers that follow.  A frame whose
+    bytes run out mid-header is marked truncated and leaves the walk
+    with the layers it has.  Header names and tags are logged per group
+    and put in frame order at the end.  A handler owns the group it is
+    given and may move its positions in place.
     """
-    stack: List[str] = []
-    vlan_ids: List[int] = []
-    mpls_labels: List[int] = []
-    ip_version = 0
-    src = dst = ""
-    proto = sport = dport = tcp_flags = 0
-    truncated = False
-    pos = 0
-    n = len(data)
-    try:
-        while True:  # one iteration per (pseudowire-encapsulated) Ethernet
-            if n - pos < 14:
-                raise _Truncated
-            stack.append("eth")
-            ethertype = (data[pos + 12] << 8) | data[pos + 13]
-            pos += 14
-            while ethertype == 0x8100:  # 802.1Q VLAN
-                if n - pos < 4:
-                    raise _Truncated
-                stack.append("vlan")
-                vlan_ids.append(((data[pos] << 8) | data[pos + 1]) & 0xFFF)
-                ethertype = (data[pos + 2] << 8) | data[pos + 3]
-                pos += 4
-            if ethertype == 0x8847:  # MPLS unicast
-                bottom = False
-                while not bottom:
-                    if n - pos < 4:
-                        raise _Truncated
-                    (entry,) = _MPLS_ENTRY.unpack_from(data, pos)
-                    stack.append("mpls")
-                    mpls_labels.append(entry >> 12)
-                    bottom = bool(entry & 0x100)
-                    pos += 4
-                if n - pos < 1:
-                    raise _Truncated
-                nibble = data[pos] >> 4
-                if nibble == 4:
-                    ip_kind = 4
-                elif nibble == 6:
-                    ip_kind = 6
-                elif nibble == 0:  # pseudowire control word (RFC 4448)
-                    if n - pos < 4:
-                        raise _Truncated
-                    stack.append("pw")
-                    pos += 4
-                    continue  # a fresh Ethernet frame follows
-                else:
-                    break  # opaque remainder
-            elif ethertype == 0x0800:
-                ip_kind = 4
-            elif ethertype == 0x86DD:
-                ip_kind = 6
-            elif ethertype == 0x0806:  # ARP
-                if n - pos < 28:
-                    raise _Truncated
-                stack.append("arp")
-                pos += 28
-                break
+
+    def __init__(self, data: bytes, table: RecordTable):
+        padded = data + bytes(_SLACK)
+        size = len(padded)
+        self.u8 = np.frombuffer(padded, np.uint8)
+        # Element i is the big-endian u16 / u32 at byte offset i.
+        self.u16 = np.ndarray((size - 1,), ">u2", padded, strides=(1,))
+        self.u32 = np.ndarray((size - 3,), ">u4", padded, strides=(1,))
+        self.table = table
+        n = self.n = len(table.starts)
+        self.fields = np.zeros((6, n), np.int64)
+        self.addresses = np.full((2, n), -1, np.int64)  # src, dst keys
+        self.v6: dict = {}              # IPv6 address bytes -> index
+        self.named: List[np.ndarray] = []   # frames given a header name
+        self.names: List[int] = []          # and its id in _NAMES
+        # Frames given a value each: a name id (kind 0), a VLAN id (1)
+        # or an MPLS label (2).
+        self.logged: List[np.ndarray] = []
+        self.kinds: List[int] = []
+        self.values: List[np.ndarray] = []
+        self.rest: List[np.ndarray] = []
+        self.todo = {"eth": [np.stack([np.arange(n), table.starts,
+                                       table.starts + table.captured])]}
+
+    def columns(self) -> AcapColumns:
+        todo, at = self.todo, 0
+        while at < len(_LAYERS):
+            layer = _LAYERS[at]
+            at += 1
+            if layer in todo:
+                getattr(self, "_" + layer)(_merge(todo.pop(layer)))
+                if "eth" in todo:   # behind a pseudowire
+                    at = 0
+        if self.rest:
+            self._rest(_merge(self.rest))
+        return self._finish()
+
+    # -- plumbing ------------------------------------------------------------
+
+    def _name(self, frames: np.ndarray, name: str) -> None:
+        self.named.append(frames)
+        self.names.append(_NAME_IDS[name])
+
+    def _log(self, frames: np.ndarray, kind: int, values: np.ndarray) -> None:
+        self.logged.append(frames)
+        self.kinds.append(kind)
+        self.values.append(values)
+
+    def _queue(self, layer: str, group: np.ndarray) -> None:
+        if layer == "rest":
+            self.rest.append(group[:3])
+        elif group.shape[1]:
+            self.todo.setdefault(layer, []).append(group)
+
+    def _route(self, kinds: np.ndarray, layers: Tuple[str, ...],
+               group: np.ndarray, again: int = -1) -> np.ndarray:
+        """Queue each frame for the layer its kind names, except frames
+        of kind ``again``, which are returned to take the same layer
+        once more."""
+        more = group[:, :0]
+        for kind, frames in _split(kinds, group):
+            if kind == again:
+                more = frames
             else:
-                break  # unknown EtherType: everything that follows is opaque
+                self._queue(layers[kind], frames)
+        return more
 
-            if ip_kind == 4:
-                if n - pos < 20:
-                    raise _Truncated
-                first = data[pos]
-                if first >> 4 != 4:
-                    raise _Truncated
-                ihl = (first & 0xF) * 4
-                if ihl < 20 or n - pos < ihl:
-                    raise _Truncated
-                stack.append("ipv4")
-                ip_version = 4
-                proto = data[pos + 9]
-                src = "%d.%d.%d.%d" % (
-                    data[pos + 12], data[pos + 13], data[pos + 14], data[pos + 15])
-                dst = "%d.%d.%d.%d" % (
-                    data[pos + 16], data[pos + 17], data[pos + 18], data[pos + 19])
-                pos += ihl
-            else:
-                if n - pos < 40:
-                    raise _Truncated
-                if data[pos] >> 4 != 6:
-                    raise _Truncated
-                stack.append("ipv6")
-                ip_version = 6
-                proto = data[pos + 6]
-                src = ":".join("%x" % w for w in _V6_WORDS.unpack_from(data, pos + 8))
-                dst = ":".join("%x" % w for w in _V6_WORDS.unpack_from(data, pos + 24))
-                pos += 40
+    def _keep(self, ok: np.ndarray, group: np.ndarray) -> np.ndarray:
+        """The frames where ``ok`` holds; the others are truncated."""
+        if np.count_nonzero(ok) == len(ok):
+            return group
+        self.fields[_TRUNCATED, group[0].compress(~ok)] = 1
+        return group.compress(ok, axis=1)
 
-            if proto == 6:  # TCP
-                if n - pos < 20:
-                    raise _Truncated
-                offset = (data[pos + 12] >> 4) * 4
-                if offset < 20:
-                    raise _Truncated
-                stack.append("tcp")
-                sport = (data[pos] << 8) | data[pos + 1]
-                dport = (data[pos + 2] << 8) | data[pos + 3]
-                tcp_flags = data[pos + 13]
-                pos += offset if offset <= n - pos else n - pos
-                pos = _classify_application(data, pos, n, sport, dport, stack)
-            elif proto == 17:  # UDP
-                if n - pos < 8:
-                    raise _Truncated
-                stack.append("udp")
-                sport = (data[pos] << 8) | data[pos + 1]
-                dport = (data[pos + 2] << 8) | data[pos + 3]
-                pos += 8
-                pos = _classify_application(data, pos, n, sport, dport, stack)
-            elif proto == 1 or proto == 58:  # ICMP / ICMPv6
-                if n - pos < 8:
-                    raise _Truncated
-                stack.append("icmp")
-                pos += 8
-            break
-        remainder = n - pos
-        if remainder > 0:
-            # Short frames are zero-padded to the Ethernet minimum;
-            # don't report that padding as an application payload.
-            if remainder <= 8 and not any(data[pos:]):
-                stack.append("padding")
-            else:
-                stack.append("data")
-    except _Truncated:
-        truncated = True
-    return _new_record(AcapRecord, (
-        timestamp, wire_len, n, tuple(stack), tuple(vlan_ids),
-        tuple(mpls_labels), ip_version, src, dst, proto, sport, dport,
-        tcp_flags, truncated))
+    def _need(self, group: np.ndarray, size: int) -> np.ndarray:
+        """The frames with ``size`` bytes left."""
+        return self._keep(group[2] - group[1] >= size, group)
+
+    def _window(self, p: np.ndarray, width: int) -> np.ndarray:
+        return self.u8[p[:, None] + np.arange(width)]
+
+    # -- layers ------------------------------------------------------------------
+
+    def _eth(self, g) -> None:
+        g = self._need(g, 14)
+        self._name(g[0], "eth")
+        kinds = _ETHERTYPES[self.u16[g[1] + 12]]
+        g[1] += 14
+        self._route(kinds, _AFTER_ETHERTYPE, g)
+
+    def _vlan(self, g) -> None:
+        while g.shape[1]:
+            g = self._need(g, 4)
+            self._name(g[0], "vlan")
+            tci, kinds = self.u16[g[1]], self.u16[g[1] + 2]
+            self._log(g[0], 1, tci & 0xFFF)
+            g[1] += 4
+            g = self._route(_ETHERTYPES[kinds], _AFTER_ETHERTYPE, g, again=1)
+
+    def _mpls(self, g) -> None:
+        while g.shape[1]:
+            g = self._need(g, 4)
+            self._name(g[0], "mpls")
+            entry = self.u32[g[1]]
+            self._log(g[0], 2, entry >> 12)
+            g[1] += 4
+            g = self._route((entry >> 8) & 1, ("mpls", "below"), g, again=0)
+
+    def _below(self, g) -> None:
+        """Under the bottom label: IPv4, IPv6 or a pseudowire control
+        word by the first nibble, else an opaque remainder."""
+        g = self._need(g, 1)
+        self._route(_NIBBLES[self.u8[g[1]] >> 4], _AFTER_MPLS, g)
+
+    def _pw(self, g) -> None:
+        g = self._need(g, 4)
+        self._name(g[0], "pw")
+        g[1] += 4
+        self._queue("eth", g)
+
+    def _arp(self, g) -> None:
+        g = self._need(g, 28)
+        self._name(g[0], "arp")
+        g[1] += 28
+        self._queue("rest", g)
+
+    def _ipv4(self, g) -> None:
+        # A byte read past a frame's end is never used: every test on it
+        # also requires the bytes to be there.
+        ihl = _IHL[self.u8[g[1]]]
+        ok = g[2] - g[1] >= ihl
+        kept = self._keep(ok, g)
+        if kept is not g:
+            g, ihl = kept, ihl[ok]
+        self._name(g[0], "ipv4")
+        self.fields[_VERSION, g[0]] = 4
+        proto = self.u8[g[1] + 9]
+        self.fields[_PROTO, g[0]] = proto
+        self.addresses[0, g[0]] = self.u32[g[1] + 12]
+        self.addresses[1, g[0]] = self.u32[g[1] + 16]
+        g[1] += ihl
+        self._route(_PROTOS[proto], _AFTER_IP, g)
+
+    def _ipv6(self, g) -> None:
+        g = self._keep((g[2] - g[1] >= 40) & (self.u8[g[1]] >> 4 == 6), g)
+        self._name(g[0], "ipv6")
+        self.fields[_VERSION, g[0]] = 6
+        proto = self.u8[g[1] + 6]
+        self.fields[_PROTO, g[0]] = proto
+        # Each distinct address gets the next key; see _V6_KEYS.
+        addresses = self._window(g[1] + 8, 32).view("V16").ravel().tolist()
+        v6 = self.v6
+        for address in dict.fromkeys(addresses):
+            v6.setdefault(address, len(v6))
+        keys = np.fromiter(map(v6.__getitem__, addresses), np.int64,
+                           len(addresses)) + _V6_KEYS
+        self.addresses[0, g[0]] = keys[0::2]
+        self.addresses[1, g[0]] = keys[1::2]
+        g[1] += 40
+        self._route(_PROTOS[proto], _AFTER_IP, g)
+
+    def _tcp(self, g) -> None:
+        byte = self.u8[g[1] + 12]
+        ok = g[2] - g[1] >= _TCP_NEED[byte]
+        kept = self._keep(ok, g)
+        if kept is not g:
+            g, byte = kept, byte[ok]
+        offset = (byte >> 4).astype(np.int64) * 4
+        self._name(g[0], "tcp")
+        self.fields[_FLAGS, g[0]] = self.u8[g[1] + 13]
+        self._ports(g, np.minimum(offset, g[2] - g[1]))
+
+    def _udp(self, g) -> None:
+        g = self._need(g, 8)
+        self._name(g[0], "udp")
+        self._ports(g, 8)
+
+    def _ports(self, g, size) -> None:
+        sport, dport = self.u16[g[1]], self.u16[g[1] + 2]
+        self.fields[_SPORT, g[0]] = sport
+        self.fields[_DPORT, g[0]] = dport
+        g = np.concatenate([g, sport[None], dport[None]])
+        g[1] += size
+        self._queue("app", g)
+
+    def _icmp(self, g) -> None:
+        g = self._need(g, 8)
+        self._name(g[0], "icmp")
+        g[1] += 8
+        self._queue("rest", g)
+
+    # -- the port-classified application layer -------------------------------
+
+    def _app(self, g) -> None:
+        """Try the destination port's classifier, then the source
+        port's; a frame neither claims keeps its position.  Rows 3 and
+        4 of ``g`` are the source and destination ports."""
+        source, destination = _PORTS[g[3:5]]
+        known = destination != 0
+        kinds = np.where(known, destination, source)
+        second = np.where(known, source, 0)
+        g = g[:3]
+        while g.shape[1]:
+            ok, moved = self._classify(kinds, g[1], g[2])
+            self._log(g[0][ok], 0, _APP_NAME_IDS[kinds[ok]])
+            self.rest.append(np.stack([g[0], moved, g[2]]).compress(ok, axis=1))
+            # A frame whose first classifier fails tries the second.
+            failed = ~ok
+            again = failed & (second != 0)
+            self.rest.append(g.compress(failed & ~again, axis=1))
+            g, kinds = g.compress(again, axis=1), second[again]
+            second = np.zeros_like(kinds)
+
+    def _classify(self, kinds, p, end):
+        """Whether each frame holds the application header its kind
+        (an index into ``_APPS``) names, and where that header ends."""
+        rem = end - p
+        ok = np.choose(kinds, (
+            False,
+            (rem >= 5) & _TLS_HEADS[self.u16[p]],
+            False,
+            rem >= 12,
+            False,
+            (rem >= 48) & _NTP_FIRST[self.u8[p]],
+            rem > 0))
+        moved = np.choose(kinds, (p, p + 5, p, p + 12, p, p + 48, end))
+        for kind, check in ((2, self._ssh), (4, self._http)):
+            at = np.flatnonzero(kinds == kind)
+            if len(at):
+                ok[at], moved[at] = check(p[at], rem[at], end[at])
+        return ok, moved
+
+    def _ssh(self, p, rem, end):
+        raw = self._window(p, 255)
+        ok = (rem >= 4) & (raw[:, :4] == _SSH_HEAD).all(1)
+        # The banner line ends at the first CRLF within the first 255
+        # bytes, or at the end of those bytes.
+        seen = np.minimum(rem, 255)[:, None]
+        crlf = ((raw[:, :-1] == 13) & (raw[:, 1:] == 10)
+                & (np.arange(1, 255) < seen))
+        line = np.where(crlf.any(1), crlf.argmax(1), seen[:, 0])
+        return ok, np.minimum(p + line + 2, end)
+
+    def _http(self, p, rem, end):
+        raw = self._window(p, 9)
+        rem = rem[:, None]
+        response = (rem[:, 0] >= 7) & (raw[:, :7] == _HTTP_HEAD).all(1)
+        # A request line's first word, up to a space, a CRLF or the end
+        # of the frame, must be a method.
+        size = _METHOD_LENGTHS
+        after = raw[:, size]
+        method = ((raw[:, :8].copy().view(np.uint64) & _METHOD_MASKS
+                   == _METHOD_WORDS) & (rem >= size)
+                  & ((rem == size) | (after == 32)
+                     | ((after == 13) & (raw[:, size + 1] == 10)
+                        & (rem > size + 1))))
+        return response | method.any(1), p + np.minimum(rem[:, 0], 512)
+
+    def _rest(self, g) -> None:
+        """Name what is left of each frame: zero padding to the Ethernet
+        minimum, or data."""
+        rem = g[2] - g[1]
+        left = rem > 0
+        f, p, rem = g[0][left], g[1][left], rem[left]
+        zero = (self._window(p, 8) == 0) | (np.arange(8) >= rem[:, None])
+        padding = (rem <= 8) & zero.all(1)
+        self._log(f, 0, np.where(padding, _NAME_IDS["padding"],
+                                 _NAME_IDS["data"]))
+
+    # -- columns -------------------------------------------------------------
+
+    def _finish(self) -> AcapColumns:
+        n = self.n
+        # Put the logged header names, VLAN ids and MPLS labels in
+        # order: by kind (0, 1, 2), frame and walk order.  Sequence
+        # ``frame`` holds a frame's names, ``n + frame`` its VLAN ids
+        # and ``2n + frame`` its labels, each entry one more than the
+        # id or tag, so that 0 marks the end.
+        logged = self.named + self.logged
+        sizes = list(map(len, logged))
+        rows = np.concatenate(logged) + n * np.repeat(
+            np.array([0] * len(self.named) + self.kinds), sizes)
+        values = np.concatenate(
+            [np.repeat(np.array(self.names), sizes[:len(self.named)])]
+            + self.values) + 1
+        order = np.argsort(rows, kind="stable")
+        rows, values = rows[order], values[order]
+        named = int(np.searchsorted(rows, n))
+        lengths = np.bincount(rows, minlength=3 * n)
+        at = np.arange(len(rows)) - (np.cumsum(lengths) - lengths)[rows]
+        stacks, stack_ids = _intern_runs(
+            rows[:named], at[:named], values[:named], lengths[:n], 5)
+        stacks = [tuple(map(_NAMES.__getitem__, stack)) for stack in stacks]
+        tags, tag_ids = _intern_runs(
+            rows[named:] - n, at[named:], values[named:], lengths[n:], 21)
+        keys = self.addresses.ravel()
+        first, address_ids = _first_seen(keys)
+        strings = _address_strings(keys[first], list(self.v6))
+        strings += dict.fromkeys(chain.from_iterable(stacks))
+        table, fields = self.table, self.fields
+        return AcapColumns(
+            strings, stacks, tags, table.timestamps, table.wire,
+            table.captured, stack_ids, tag_ids[:n], tag_ids[n:],
+            fields[_VERSION], address_ids[:n], address_ids[n:],
+            fields[_PROTO], fields[_SPORT], fields[_DPORT], fields[_FLAGS],
+            fields[_TRUNCATED])
 
 
-def _classify_application(data: bytes, pos: int, n: int, sport: int,
-                          dport: int, stack: List[str]) -> int:
-    """Port-classified application layer (mirrors ``Dissector._application``)."""
-    if pos >= n:
-        return pos
-    for port in (dport, sport):
-        if port == 443:  # TLS record
-            if n - pos < 5:
-                continue
-            if data[pos] not in (20, 21, 22, 23) or data[pos + 1] != 3:
-                continue
-            stack.append("tls")
-            return pos + 5
-        if port == 22:  # SSH banner
-            raw = data[pos:pos + 255]
-            if not raw.startswith(b"SSH-"):
-                continue
-            line = raw.partition(b"\r\n")[0]
-            stack.append("ssh")
-            return min(n, pos + len(line) + 2)
-        if port == 53:  # DNS header
-            if n - pos < 12:
-                continue
-            stack.append("dns")
-            return pos + 12
-        if port == 80:  # HTTP head
-            raw = data[pos:pos + 512]
-            line = raw.partition(b"\r\n")[0]
-            text = line.decode("ascii", "replace")
-            if not text.startswith("HTTP/1.") and \
-                    text.split(" ", 1)[0] not in _HTTP_METHODS:
-                continue
-            stack.append("http")
-            return pos + len(raw)
-        if port == 123:  # NTP
-            if n - pos < 48:
-                continue
-            first = data[pos]
-            if (first >> 3) & 0x7 not in (3, 4) or first & 0x7 == 0:
-                continue
-            stack.append("ntp")
-            return pos + 48
-        if port == 5201:  # iperf: opaque, consumes the rest
-            stack.append("iperf")
-            return n
-    return pos
+def _intern_runs(rows: np.ndarray, at: np.ndarray, values: np.ndarray,
+                 lengths: np.ndarray, bits: int) -> Tuple[list, np.ndarray]:
+    """Intern runs of values as :func:`_intern` interns tuples.  Run
+    ``r`` has ``lengths[r]`` entries; entry ``at`` of run ``row`` is
+    ``value - 1``, every value being in ``1 .. 2 ** bits - 1``, and
+    ``rows`` is sorted.  Returns the distinct runs as tuples, first
+    seen first, and each run's index among them.
+    """
+    per = 63 // bits
+    # A run of up to ``per`` values is keyed by them packed into an
+    # int64, from a grid no wider than that whatever the longest run
+    # (entries past ``per`` all land in its last, unread column).
+    grid = np.zeros((len(lengths), per + 1), np.int64)
+    grid.ravel()[rows * (per + 1) + np.minimum(at, per)] = values
+    grid = grid[:, :per]
+    keys = grid @ (1 << np.arange(0, per * bits, bits))
+    # A longer run is keyed by its index among the distinct longer
+    # runs, negated (garbage can hold hundreds of VLAN tags).
+    longer: dict = {}
+    deep = np.flatnonzero(lengths > per)
+    if len(deep):
+        ends = np.cumsum(lengths)
+        for run in deep.tolist():
+            run_values = values[ends[run] - lengths[run]:ends[run]].tolist()
+            keys[run] = -1 - longer.setdefault(tuple(run_values), len(longer))
+    first, ids = _first_seen(keys)
+    grid = grid.take(first, axis=0) - 1
+    runs = list(map(getitem, zip(*grid.T.tolist()),
+                    map(slice, (grid >= 0).sum(1).tolist())))
+    longer = list(longer)
+    for i, key in enumerate(keys[first].tolist()):
+        if key < 0:
+            runs[i] = tuple(value - 1 for value in longer[-1 - key])
+    return runs, ids
+
+
+def _first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key first occurs, in the order they first
+    occur, and each key's index in that order (the order
+    :func:`_intern` gives)."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]      # each distinct key's first index, by key
+    seen = np.argsort(first)
+    rank = np.empty(len(first), np.int64)
+    rank[seen] = np.arange(len(first))
+    ids = np.empty(len(keys), np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return first[seen], ids
+
+
+def _address_strings(keys: np.ndarray, v6: List[bytes]) -> List[str]:
+    """The text of each address key (see ``_V6_KEYS``)."""
+    octets = ((keys[:, None] >> _OCTET_SHIFTS) & 0xFF).T.tolist()
+    strings = list(map(".".join, zip(*(map(_DECIMAL.__getitem__, column)
+                                       for column in octets))))
+    for i in np.flatnonzero((keys < 0) | (keys >= _V6_KEYS)).tolist():
+        key = int(keys[i])
+        strings[i] = "" if key < 0 else ":".join(
+            "%x" % w for w in _V6_WORDS.unpack(v6[key - _V6_KEYS]))
+    return strings
 
 
 def digest_pcap(pcap_path: Union[str, Path],
@@ -422,25 +703,30 @@ def digest_pcap(pcap_path: Union[str, Path],
                 data: Optional[bytes] = None) -> AcapFile:
     """The Digest step for one pcap file.
 
-    With no ``dissector`` argument the fused fast path
-    (:func:`dissect_record`) is used; passing a custom dissector falls
-    back to the generic ``dissect`` + :func:`abstract` route.  ``data``
-    is the pcap's bytes when the caller has read them already (the
-    pipeline keys the acap cache on them); the file is read otherwise.
+    With no ``dissector`` argument every frame is dissected at once by
+    the columnar walk above, into :class:`AcapColumns`; passing a custom
+    dissector takes the generic ``dissect`` + :func:`abstract` route,
+    one record per frame.  ``data`` is the pcap's bytes when the caller
+    has read them already (the pipeline keys the acap cache on them);
+    the file is read otherwise.  A pcap with a bad magic or a short
+    global header raises ``ValueError``; one whose last record is cut
+    short is digested up to that record.
     """
+    if dissector is None:
+        if data is None:
+            data = Path(pcap_path).read_bytes()
+        table = record_table(data)
+        if not len(table.starts):
+            return AcapFile(str(pcap_path), [])
+        return AcapFile(str(pcap_path), columns=_Walk(data, table).columns())
     records: List[AcapRecord] = []
     with PcapReader(pcap_path if data is None else BytesIO(data)) as reader:
-        if dissector is None:
-            append = records.append
-            for timestamp, frame, orig_len in reader.iter_raw():
-                append(dissect_record(frame, timestamp, orig_len))
-        else:
-            for record in reader:
-                dissected = dissector.dissect(record.data)
-                records.append(
-                    abstract(dissected, record.timestamp, record.orig_len,
-                             len(record.data))
-                )
+        for record in reader:
+            dissected = dissector.dissect(record.data)
+            records.append(
+                abstract(dissected, record.timestamp, record.orig_len,
+                         len(record.data))
+            )
     return AcapFile(str(pcap_path), records)
 
 
@@ -484,15 +770,22 @@ _BOOLS = [False, True]
 _as_record = partial(tuple.__new__, AcapRecord)
 
 
-def _int_code(values: np.ndarray) -> str:
-    """The narrowest of ``_INT_CODES`` that holds every value."""
-    if len(values) and values.min() < 0:
-        return "q"
-    top = int(values.max()) if len(values) else 0
-    for limit, code in _UNSIGNED_TOPS:
-        if top <= limit:
-            return code
-    return "q"
+def _int_codes(columns: Sequence[np.ndarray]) -> List[str]:
+    """For each of ``columns``, all of one length, the narrowest of
+    ``_INT_CODES`` that holds every value."""
+    if not len(columns[0]):
+        return ["B"] * len(columns)
+    stacked = np.stack(columns)
+    codes = []
+    for low, top in zip(stacked.min(1).tolist(), stacked.max(1).tolist()):
+        code = "q"
+        if low >= 0:
+            for limit, unsigned in _UNSIGNED_TOPS:
+                if top <= limit:
+                    code = unsigned
+                    break
+        codes.append(code)
+    return codes
 
 
 def _intern(values: Sequence) -> Tuple[list, List[int]]:
@@ -595,7 +888,7 @@ class _EntryWriter:
 
     def column(self, values: np.ndarray, code: Optional[str] = None) -> None:
         """``values`` under ``code``, by default the narrowest int code."""
-        code = code or _int_code(values)
+        code = code or _int_codes([values])[0]
         self.parts.append(code.encode())
         self.parts.append(values.astype(code).tobytes())
 
@@ -656,8 +949,9 @@ def encode_acap(acap: AcapFile) -> bytes:
     out.table(c.tags)
     out.column(np.fromiter(chain.from_iterable(c.tags), np.int64))
     out.column(c.timestamp, _FLOAT_CODES)
-    for name in AcapRecord._fields[1:]:
-        out.column(getattr(c, name))
+    ints = c[4:]
+    for values, code in zip(ints, _int_codes(ints)):
+        out.column(values, code)
     body = b"".join(out.parts)
     return _ENTRY_HEADER.pack(_ENTRY_MAGIC, ENTRY_VERSION, _BYTE_ORDER,
                               len(c.timestamp), len(body),

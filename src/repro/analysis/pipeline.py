@@ -257,11 +257,17 @@ class AnalysisPipeline:
 
     # -- Digest ------------------------------------------------------------
 
-    def digest(self, pcap_paths: Sequence[Union[str, Path]]) -> List[AcapFile]:
+    def digest(self, pcap_paths: Sequence[Union[str, Path]],
+               keys: Optional[Sequence[Optional[str]]] = None
+               ) -> List[AcapFile]:
         """Dissect every pcap into an acap (cached when ``cache_dir``).
 
         Cached pcaps are served from the acap cache; the rest fan out
-        over up to ``max_workers`` processes.  ``self.acaps`` preserves
+        over up to ``max_workers`` processes.  ``keys``, when given, is
+        each pcap's sha256 as the caller already knows it (a campaign's
+        committed hashes): a pcap is first looked up under it, so a hit
+        reads and hashes nothing, and a miss is read, hashed and
+        digested as usual.  ``self.acaps`` preserves
         the order of ``pcap_paths`` but **omits quarantined pcaps**
         (corrupt/undissectable inputs, counted in
         ``self.stats.quarantined``), so it can be shorter than the
@@ -273,7 +279,8 @@ class AnalysisPipeline:
         acaps: List[Optional[AcapFile]] = [None] * len(paths)
         stats = self.stats = PipelineStats(pcaps=len(paths))
         with get_obs().tracer.span("analysis.digest", pcaps=len(paths)) as span:
-            self._digest(paths, acaps, stats)
+            self._digest(paths, list(keys or [None] * len(paths)), acaps,
+                         stats)
             # Close with the quarantine count (the lexical exit's end()
             # is then a no-op); the cache counts are not span attributes
             # because the span is journaled.
@@ -315,9 +322,11 @@ class AnalysisPipeline:
         registry.counter("digest.truncated_frames",
                          help="frames cut short by the snap length").inc(ntrunc)
 
-    def _digest(self, paths: List[Path], acaps: "List[Optional[AcapFile]]",
+    def _digest(self, paths: List[Path], known: List[Optional[str]],
+                acaps: "List[Optional[AcapFile]]",
                 stats: PipelineStats) -> None:
-        # Look every pcap up by the sha256 of its bytes.  With one
+        # Look every pcap up by the sha256 of its bytes: first by the
+        # known one, if any, then by hashing what is read.  With one
         # worker a miss is digested at once, from those bytes; with a
         # pool, misses wait for the fan-out below.
         cache = self.cache
@@ -326,15 +335,20 @@ class AnalysisPipeline:
         for i, path in enumerate(paths):
             data = key = None
             if cache is not None:
+                if known[i] is not None:
+                    acaps[i] = cache.lookup(known[i], path)
+                    if acaps[i] is not None:
+                        continue
                 try:
                     data = path.read_bytes()
                 except OSError:
                     pass  # a miss; digesting it quarantines it
                 else:
                     key = AcapCache.key_for(data)
-                    acaps[i] = cache.lookup(key, path)
-                    if acaps[i] is not None:
-                        continue
+                    if key != known[i]:
+                        acaps[i] = cache.lookup(key, path)
+                        if acaps[i] is not None:
+                            continue
             todo.append(i)
             if serial:
                 acaps[i] = _digest_and_store(path, cache, data, key)[0]
@@ -406,8 +420,10 @@ class AnalysisPipeline:
             aggregated_flows=aggregated,
         )
 
-    def run(self, pcap_paths: Sequence[Union[str, Path]]) -> ProfileReport:
-        """Convenience: digest + index + analyze in one call."""
-        self.digest(pcap_paths)
+    def run(self, pcap_paths: Sequence[Union[str, Path]],
+            keys: Optional[Sequence[Optional[str]]] = None) -> ProfileReport:
+        """Convenience: digest + index + analyze in one call (``keys``
+        as for :meth:`digest`)."""
+        self.digest(pcap_paths, keys)
         self.build_index()
         return self.analyze()

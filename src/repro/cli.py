@@ -421,20 +421,23 @@ def _profile_outputs(runner, charts: bool):
 
     The report covers exactly the pcaps the committed occasions name
     (a crashed attempt can leave uncommitted pcaps on disk), digested
-    through the run's own acap cache.  ``metrics.prom`` renders the
-    final journal's last metrics snapshot; each ``captures/<site>``
-    directory is gathered with that site's instance logs.  Returns
-    ``(report, notes)`` as :func:`_analyze_into` does.
+    through the run's own acap cache and looked up there by their
+    committed sha256, which the campaign verified or just wrote.
+    ``metrics.prom`` renders the final journal's last metrics snapshot;
+    each ``captures/<site>`` directory is gathered with that site's
+    instance logs.  Returns ``(report, notes)`` as
+    :func:`_analyze_into` does.
     """
     from repro.core.checkpoint import committed_pcaps
     from repro.core.gather import gather_site
     from repro.obs import RunJournal, to_prometheus
 
     run_dir, manifest = runner.run_dir, runner.manifest
-    pcaps = [run_dir / rel for rel in committed_pcaps(run_dir)]
+    committed = committed_pcaps(run_dir)
+    pcaps = [run_dir / rel for rel in committed]
     cache_dir = run_dir / "acap-cache" if manifest.cache_enabled else None
     report, notes = _analyze_into(pcaps, run_dir, manifest.workers,
-                                  cache_dir, charts)
+                                  cache_dir, charts, list(committed.values()))
     registry = _final_metrics(RunJournal.read(runner.journal_path))
     (run_dir / "metrics.prom").write_text(
         to_prometheus(registry) if registry is not None else "")
@@ -549,8 +552,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze_into(pcaps, out: Optional[Path], workers: int,
-                  cache_dir: Optional[Path], charts: bool):
-    """Digest, index and analyze ``pcaps``.
+                  cache_dir: Optional[Path], charts: bool, keys=None):
+    """Digest, index and analyze ``pcaps`` (``keys``: their known
+    sha256s, as for :meth:`AnalysisPipeline.digest`).
 
     With ``out``, also write ``csv/`` and (with ``charts``) ``charts/``
     under it.  Returns ``(report, notes)``: one line per
@@ -559,7 +563,7 @@ def _analyze_into(pcaps, out: Optional[Path], workers: int,
     from repro.analysis import AnalysisPipeline
 
     pipeline = AnalysisPipeline(max_workers=workers, cache_dir=cache_dir)
-    report = pipeline.run(pcaps)
+    report = pipeline.run(pcaps, keys)
     notes = []
     if out is not None:
         csvs = report.write_csvs(out / "csv")

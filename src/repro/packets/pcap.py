@@ -23,7 +23,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, List, Optional, Union
+from typing import BinaryIO, Iterator, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -131,6 +133,19 @@ class PcapWriter:
         self.close()
 
 
+def _global_header(raw: bytes) -> Tuple[str, tuple]:
+    """The byte order (``">"`` or ``"<"``) and the fields of a pcap's
+    global header ``raw``; ``ValueError`` for a short one or a bad magic."""
+    if len(raw) < _GLOBAL_HEADER.size:
+        raise ValueError("not a pcap file: truncated global header")
+    (magic,) = struct.unpack("!I", raw[:4])
+    if magic == PCAP_MAGIC:
+        return ">", _GLOBAL_HEADER.unpack(raw[:_GLOBAL_HEADER.size])
+    if magic == PCAP_MAGIC_SWAPPED:
+        return "<", _GLOBAL_HEADER_LE.unpack(raw[:_GLOBAL_HEADER.size])
+    raise ValueError(f"not a pcap file: bad magic 0x{magic:08x}")
+
+
 class PcapReader:
     """Reads classic pcap files in either byte order.
 
@@ -152,21 +167,10 @@ class PcapReader:
         else:
             self._handle = open(path, "rb")
             self._owns_handle = True
-        raw = self._handle.read(_GLOBAL_HEADER.size)
-        if len(raw) < _GLOBAL_HEADER.size:
-            raise ValueError("not a pcap file: truncated global header")
-        (magic,) = struct.unpack("!I", raw[:4])
-        if magic == PCAP_MAGIC:
-            self._record_struct = _RECORD_HEADER
-            fields = _GLOBAL_HEADER.unpack(raw)
-        elif magic == PCAP_MAGIC_SWAPPED:
-            self._record_struct = _RECORD_HEADER_LE
-            fields = _GLOBAL_HEADER_LE.unpack(raw)
-        else:
-            raise ValueError(f"not a pcap file: bad magic 0x{magic:08x}")
+        order, fields = _global_header(self._handle.read(_GLOBAL_HEADER.size))
+        self._record_struct = _RECORD_HEADER if order == ">" else _RECORD_HEADER_LE
         _, _vmaj, _vmin, _tz, _sig, self.snaplen, self.linktype = fields
-        # Hot-path bindings: __next__ runs once per captured frame, so
-        # avoid re-resolving these attributes on every record.
+        # Bindings for __next__, which runs once per captured frame.
         self._read = self._handle.read
         self._rec_size = self._record_struct.size
         self._rec_unpack = self._record_struct.unpack
@@ -192,31 +196,6 @@ class PcapReader:
             raise StopIteration
         return PcapRecord(ts_sec + ts_usec / 1_000_000, data, orig_len)
 
-    def iter_raw(self) -> Iterator[tuple]:
-        """Yield ``(timestamp, data, orig_len)`` tuples without building
-        :class:`PcapRecord` objects -- the Digest hot path's iterator.
-        """
-        read = self._read
-        rec_size = self._rec_size
-        unpack = self._rec_unpack
-        while True:
-            raw = read(rec_size)
-            if not raw:
-                return
-            if len(raw) < rec_size:
-                if self.strict:
-                    raise ValueError("truncated pcap record header")
-                self.short_read = True
-                return
-            ts_sec, ts_usec, incl_len, orig_len = unpack(raw)
-            data = read(incl_len)
-            if len(data) < incl_len:
-                if self.strict:
-                    raise ValueError("truncated pcap record body")
-                self.short_read = True
-                return
-            yield ts_sec + ts_usec / 1_000_000, data, orig_len
-
     def read_all(self) -> List[PcapRecord]:
         """Read every remaining record into a list."""
         return list(self)
@@ -230,3 +209,55 @@ class PcapReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class RecordTable(NamedTuple):
+    """A pcap's records as columns, one entry per whole record.
+
+    ``starts`` is the offset of each frame's first byte in the pcap,
+    ``captured`` its ``incl_len`` and ``wire`` its ``orig_len``;
+    ``timestamps`` are float64 seconds, equal to
+    :attr:`PcapRecord.timestamp`.  ``short_read`` is set as
+    :attr:`PcapReader.short_read` is.
+    """
+
+    starts: np.ndarray
+    captured: np.ndarray
+    wire: np.ndarray
+    timestamps: np.ndarray
+    short_read: bool
+
+
+_NO_RECORDS = RecordTable(*(np.zeros(0, np.int64) for _ in range(3)),
+                          np.zeros(0, np.float64), False)
+
+
+def record_table(data: bytes) -> RecordTable:
+    """The record table of the pcap ``data``, read in one pass.
+
+    The rules are :class:`PcapReader`'s (non-strict): a short global
+    header or a bad magic raises ``ValueError``, and a final record cut
+    short ends the table with ``short_read`` set.  A pcap with no whole
+    record returns without touching numpy.
+    """
+    order, _fields = _global_header(data[:_GLOBAL_HEADER.size])
+    incl_len = struct.Struct(order + "I").unpack_from
+    size = len(data)
+    offsets: List[int] = []
+    append = offsets.append
+    pos = _GLOBAL_HEADER.size
+    while pos <= size - 16:     # a whole 16-byte record header left
+        end = pos + 16 + incl_len(data, pos + 8)[0]
+        if end > size:
+            break
+        append(pos)
+        pos = end
+    short_read = pos != size
+    if not offsets:
+        return _NO_RECORDS._replace(short_read=short_read)
+    heads_at = np.fromiter(offsets, np.int64, len(offsets))
+    heads = np.frombuffer(data, np.uint8).take(
+        heads_at[:, None] + np.arange(16)).view(order + "u4")
+    ts_sec, ts_usec, captured, wire = heads.astype(np.int64).T
+    return RecordTable(heads_at + 16, captured, wire,
+                       ts_sec + ts_usec / 1_000_000, short_read)

@@ -75,3 +75,53 @@ def test_a_run_into_a_filled_cache_writes_nothing_and_changes_nothing(
                     tmp_path / "second" / "acap-cache")
     assert run(tmp_path / "second", BUSY, 2) == first
     assert cache_entries(tmp_path / "second") == entries
+
+
+# The CI smoke run's `repro profile` arguments.
+SMOKE_ARGS = ["--sites", "STAR", "MICH", "--scale", "0.02",
+              "--sample-duration", "2", "--sample-interval", "10",
+              "--samples", "1", "--cycles", "1", "--instances", "1"]
+
+
+def test_profile_report_looks_pcaps_up_by_their_committed_hash(
+        tmp_path, monkeypatch, capsys):
+    """`repro profile` hashes each pcap twice: for its WAL sample row,
+    and for the acap-cache lookup of the occasion that captured it.
+    The final report looks each one up by the committed hash and hashes
+    none."""
+    from repro import cli
+    from repro.analysis.cache import AcapCache
+    from repro.core import campaign, checkpoint, sharding
+
+    hashed = []     # (where, what, bytes) per sha256_file / key_for call
+    phase = ["campaign"]
+    sha256_file, key_for = checkpoint.sha256_file, AcapCache.key_for
+
+    def counting_file(path):
+        hashed.append((phase[0], str(path), (tmp_path / path).stat().st_size))
+        return sha256_file(path)
+
+    def counting_key(data):
+        hashed.append((phase[0], "key_for", len(data)))
+        return key_for(data)
+
+    def report(*args, **kwargs):
+        phase[0] = "report"
+        return profile_outputs(*args, **kwargs)
+
+    for module in (checkpoint, sharding, campaign):
+        monkeypatch.setattr(module, "sha256_file", counting_file)
+    monkeypatch.setattr(AcapCache, "key_for", staticmethod(counting_key))
+    profile_outputs = cli._profile_outputs
+    monkeypatch.setattr(cli, "_profile_outputs", report)
+    run_dir = tmp_path / "run"
+    assert cli.main(["profile", *SMOKE_ARGS, "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+
+    pcaps = {str(run_dir / rel): (run_dir / rel).stat().st_size
+             for rel in committed_pcaps(run_dir)}
+    assert len(pcaps) == 4
+    assert [call for call in hashed if call[0] == "report"] == []
+    by_path = [size for _, what, size in hashed if what in pcaps]
+    by_key = [size for _, what, size in hashed if what == "key_for"]
+    assert sorted(by_path) == sorted(by_key) == sorted(pcaps.values())

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.analysis.acap import (AcapRecord, abstract, digest_pcap,
-                                 dissect_record, encode_acap)
+                                 encode_acap)
 from repro.analysis.cache import AcapCache
 from repro.analysis.dissect import Dissector
 from repro.analysis.pipeline import AnalysisPipeline, PipelineStats
@@ -228,18 +228,18 @@ class TestStats:
         assert report.stats.frames_per_second == 0.0
 
 
-class TestFastPathParity:
-    """dissect_record must agree with the generic Dissector+abstract route."""
+class TestColumnarParity:
+    """The columnar digest must give the generic Dissector+abstract
+    route's entry, byte for byte, over the same frames."""
 
     def frames_with_edge_cases(self):
         frames = corpus_frames()
         extra = []
         for frame in frames:
-            # Every truncation point of a representative frame.
-            extra.extend(frame[:n] for n in range(14, min(len(frame), 120), 7))
+            # Every truncation point of every frame.
+            extra.extend(frame[:n] for n in range(len(frame)))
         extra.append(b"\x00" * 60)               # all-zero runt
         extra.append(os.urandom(200))            # garbage
-        extra.append(frames[0][:12])             # sub-Ethernet prefix
         return frames + extra
 
     def test_digest_matches_generic_dissector(self, tmp_path):
@@ -247,14 +247,16 @@ class TestFastPathParity:
         with PcapWriter(path, snaplen=65535) as writer:
             for i, frame in enumerate(self.frames_with_edge_cases()):
                 writer.write(PcapRecord(i * 0.001, frame))
-        fast = digest_pcap(path)
+        columnar = digest_pcap(path)
         generic = digest_pcap(path, dissector=Dissector())
-        assert len(fast) == len(generic) > 0
-        for got, want in zip(fast.records, generic.records):
-            assert got == want
+        assert len(columnar) == len(generic) > 0
+        assert columnar.records == generic.records
+        assert encode_acap(columnar) == encode_acap(generic)
 
-    def test_single_frame_parity(self):
+    def test_single_frame_parity(self, tmp_path):
         frame = corpus_frames()[1]  # MPLS + pseudowire + VLAN + HTTP
+        path = tmp_path / "one.pcap"
+        with PcapWriter(path) as writer:
+            writer.write(PcapRecord(1.5, frame))
         want = abstract(Dissector().dissect(frame), 1.5, len(frame), len(frame))
-        got = dissect_record(frame, 1.5, len(frame))
-        assert got == want
+        assert digest_pcap(path).records == [want]

@@ -273,8 +273,8 @@ def test_captured_sample_stamps_each_frame_once(stamp_log, tmp_path):
                              desired_instances=1)
     bundle = Coordinator(TestbedAPI(federation), config,
                          poller=poller).run_profile()
-    recorded = sum(1 for path in bundle.pcap_paths
-                   for _ in PcapReader(path).iter_raw())
+    recorded = sum(len(PcapReader(path).read_all())
+                   for path in bundle.pcap_paths)
     stamps = Counter(stamp_log)
     assert stamps and max(stamps.values()) == 1
     assert recorded > 2 * len(stamps)
