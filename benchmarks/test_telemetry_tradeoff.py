@@ -38,7 +38,6 @@ from repro.telemetry.query import (
     EGRESS_LOAD_QUERY,
     InbandCongestionDetector,
     IntStamper,
-    Query,
     QueryRuntime,
     SketchCongestionDetector,
     snmp_reading,
@@ -101,16 +100,9 @@ def run_sample(fraction, jitter):
                               head=dst + src + b"\x08\x00" + b"\x00" * 50))
 
     reports = []
-    runtime = QueryRuntime(sim, "S", seed=SEED, on_report=reports.append)
-    runtime.install(switch, [
-        Query(EGRESS_LOAD_QUERY)
-        .filter(("direction", "==", "tx"))
-        .map(key="port", value="wire_len")
-        .reduce("count-min", epsilon=0.05, delta=0.05)
-        .every(SKETCH_WINDOW)
-        .watch(ports=("mir",), directions=("tx",))
-        .build(),
-    ])
+    runtime = QueryRuntime(sim, "S", seed=SEED, on_report=reports.append,
+                           window=SKETCH_WINDOW)
+    runtime.install(switch, ("mir",), queries=(EGRESS_LOAD_QUERY,))
 
     poll()                                       # free-running poll at t=0
     session = CaptureSession(sim, nic_port, None, int_strip=True)

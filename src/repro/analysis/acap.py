@@ -708,9 +708,10 @@ def digest_pcap(pcap_path: Union[str, Path],
     dissector takes the generic ``dissect`` + :func:`abstract` route,
     one record per frame.  ``data`` is the pcap's bytes when the caller
     has read them already (the pipeline keys the acap cache on them);
-    the file is read otherwise.  A pcap with a bad magic or a short
-    global header raises ``ValueError``; one whose last record is cut
-    short is digested up to that record.
+    the file is read otherwise.  A pcap with a bad magic, a short
+    global header or a record whose wire length is below its captured
+    length raises ``ValueError``; one whose last record is cut short is
+    digested up to that record.
     """
     if dissector is None:
         if data is None:

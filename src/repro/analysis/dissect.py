@@ -108,18 +108,42 @@ class Dissector:
     # -- layer walkers ------------------------------------------------------
 
     def _ethernet_chain(self, view: memoryview, frame: DissectedFrame) -> Optional[memoryview]:
-        fields, consumed, ethertype = self._parse(hdr.Ethernet.parse, view)
-        frame.headers.append(HeaderInfo("eth", fields))
-        return self._after_ethertype(view[consumed:], frame, ethertype)
+        # A loop, not a recursion, so no tag stack or pseudowire nesting
+        # is too deep: each pass walks one Ethernet header, its VLAN
+        # tags and, below MPLS labels, the control word of a pseudowire
+        # whose inner Ethernet frame the next pass walks.
+        while True:
+            fields, consumed, ethertype = self._parse(hdr.Ethernet.parse, view)
+            frame.headers.append(HeaderInfo("eth", fields))
+            view = view[consumed:]
+            while ethertype == EtherType.VLAN:
+                fields, consumed, ethertype = self._parse(hdr.VLAN.parse, view)
+                frame.headers.append(HeaderInfo("vlan", fields))
+                view = view[consumed:]
+            if ethertype != EtherType.MPLS_UNICAST:
+                return self._after_ethertype(view, frame, ethertype)
+            bottom = False
+            while not bottom:
+                fields, consumed, bottom = self._parse(hdr.MPLS.parse, view)
+                frame.headers.append(HeaderInfo("mpls", fields))
+                view = view[consumed:]
+            # Below the bottom label: first nibble 4 = IPv4, 6 = IPv6,
+            # 0 = pseudowire control word (RFC 4448 heuristic).
+            if len(view) < 1:
+                raise _Truncated()
+            nibble = view[0] >> 4
+            if nibble == 4:
+                return self._ipv4(view, frame)
+            if nibble == 6:
+                return self._ipv6(view, frame)
+            if nibble != 0:
+                return view
+            fields, consumed, _ = self._parse(hdr.PseudoWireControlWord.parse, view)
+            frame.headers.append(HeaderInfo("pw", fields))
+            view = view[consumed:]
 
     def _after_ethertype(self, view: memoryview, frame: DissectedFrame,
                          ethertype: int) -> Optional[memoryview]:
-        if ethertype == EtherType.VLAN:
-            fields, consumed, inner_type = self._parse(hdr.VLAN.parse, view)
-            frame.headers.append(HeaderInfo("vlan", fields))
-            return self._after_ethertype(view[consumed:], frame, inner_type)
-        if ethertype == EtherType.MPLS_UNICAST:
-            return self._mpls_stack(view, frame)
         if ethertype == EtherType.IPV4:
             return self._ipv4(view, frame)
         if ethertype == EtherType.IPV6:
@@ -129,27 +153,6 @@ class Dissector:
             frame.headers.append(HeaderInfo("arp", fields))
             return view[consumed:]
         # Unknown EtherType: everything that follows is opaque.
-        return view
-
-    def _mpls_stack(self, view: memoryview, frame: DissectedFrame) -> Optional[memoryview]:
-        bottom = False
-        while not bottom:
-            fields, consumed, bottom = self._parse(hdr.MPLS.parse, view)
-            frame.headers.append(HeaderInfo("mpls", fields))
-            view = view[consumed:]
-        # Below the bottom label: first nibble 4 = IPv4, 6 = IPv6,
-        # 0 = pseudowire control word (RFC 4448 heuristic).
-        if len(view) < 1:
-            raise _Truncated()
-        nibble = view[0] >> 4
-        if nibble == 4:
-            return self._ipv4(view, frame)
-        if nibble == 6:
-            return self._ipv6(view, frame)
-        if nibble == 0:
-            fields, consumed, _ = self._parse(hdr.PseudoWireControlWord.parse, view)
-            frame.headers.append(HeaderInfo("pw", fields))
-            return self._ethernet_chain(view[consumed:], frame)
         return view
 
     def _ipv4(self, view: memoryview, frame: DissectedFrame) -> Optional[memoryview]:

@@ -64,7 +64,8 @@ def _digest_and_store(path: Path, cache: Optional[AcapCache],
 
     Returns the acap and the stored bytes (None when nothing was
     stored).  A file that cannot be read or opened as a pcap (bad
-    magic, truncated global header, vanished from disk) is
+    magic, truncated global header, a record shorter on the wire than
+    captured, vanished from disk) is
     analysis-poison: the acap is then None, and the pipeline
     quarantines the pcap and keeps going rather than aborting the run.
     """

@@ -100,38 +100,22 @@ class TelemetryConfig:
     """Streaming-telemetry knobs (:mod:`repro.telemetry.query`).
 
     Disabled by default: the paper's Patchwork only has the SNMP poller.
-    Enabling turns on (a) switch-side query operators shipping periodic
-    sketch reports, (b) INT-style in-band stamping of mirrored clones,
-    and (c) the sketch/in-band congestion detectors scored alongside the
-    SNMP verdict on every sample ledger.  ``seed`` feeds the sketch hash
-    derivation (campaign seed in practice) so reports are byte-identical
-    across runs and shard-worker counts.
+    Enabling turns on (a) the two standing switch-side queries shipping
+    a sketch report every ``window`` seconds, (b) INT-style in-band
+    stamping of mirrored clones, and (c) the sketch/in-band congestion
+    detectors scored alongside the SNMP verdict on every sample ledger.
+    ``seed`` feeds the sketch hash derivation (campaign seed in
+    practice) so reports are byte-identical across runs and shard-worker
+    counts.
     """
 
     enabled: bool = False
     window: float = 1.0              # tumbling-window period (seconds)
-    epsilon: float = 0.05            # count-min overcount bound
-    delta: float = 0.05              # count-min failure probability
-    heavy_hitters: int = 8           # top-k kept by the heavy-hitter query
-    stamp_every: int = 8             # in-band: stamp 1-in-k mirrored clones
-    # In-band overload trigger (occupancy fraction).  Kept well below
-    # saturation: near-1.0 stamps ride frames the full queue is about
-    # to drop, so they rarely survive to the capture host.
-    occupancy_threshold: float = 0.6
-    headroom: float = 1.0            # sketch detector rate headroom
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError("telemetry window must be positive")
-        if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("epsilon and delta must be in (0, 1)")
-        if self.heavy_hitters < 1 or self.stamp_every < 1:
-            raise ValueError("heavy_hitters and stamp_every must be >= 1")
-        if not 0.0 < self.occupancy_threshold <= 1.0:
-            raise ValueError("occupancy_threshold must be in (0, 1]")
-        if self.headroom <= 0:
-            raise ValueError("headroom must be positive")
 
 
 @dataclass

@@ -46,10 +46,8 @@ from repro.obs.ledger import LedgerRecorder, SampleLedger
 from repro.util.rng import derive_rng
 from repro.telemetry.mflib import MFlib
 from repro.telemetry.query import (
-    EGRESS_LOAD_QUERY,
     InbandCongestionDetector,
     IntStamper,
-    Query,
     QueryRuntime,
     SketchCongestionDetector,
     SketchReport,
@@ -179,15 +177,14 @@ class PatchworkInstance:
         # stamper are installed in _build_slots once the mirror
         # destinations are known; the two extra detectors are judged on
         # every sample alongside the SNMP verdict.
-        telemetry = config.telemetry
         self._telemetry_runtime: Optional[QueryRuntime] = None
         self._telemetry_reports: List[SketchReport] = []
         self._poll_snapshot = 0
-        if telemetry.enabled:
+        if config.telemetry.enabled:
             self._sketch_detector: Optional[SketchCongestionDetector] = \
-                SketchCongestionDetector(headroom=telemetry.headroom)
+                SketchCongestionDetector()
             self._inband_detector: Optional[InbandCongestionDetector] = \
-                InbandCongestionDetector(telemetry.occupancy_threshold)
+                InbandCongestionDetector()
         else:
             self._sketch_detector = None
             self._inband_detector = None
@@ -420,32 +417,16 @@ class PatchworkInstance:
         """
         telemetry = self.config.telemetry
         switch = self.api.federation.site(self.site).switch
-        switch.int_stamper = IntStamper(stamp_every=telemetry.stamp_every)
-        dest_ports = tuple(sorted({slot.dest_port_id
-                                   for slot in self._slots}))
-        plans = [
-            Query(EGRESS_LOAD_QUERY)
-            .filter(("direction", "==", "tx"))
-            .map(key="port", value="wire_len")
-            .reduce("count-min", epsilon=telemetry.epsilon,
-                    delta=telemetry.delta)
-            .every(telemetry.window)
-            .watch(ports=dest_ports, directions=("tx",))
-            .build(),
-            Query("top-talkers")
-            .map(key="src_mac", value="wire_len")
-            .reduce("heavy-hitter", epsilon=telemetry.epsilon,
-                    delta=telemetry.delta, k=telemetry.heavy_hitters)
-            .every(telemetry.window)
-            .watch(ports=dest_ports, directions=("tx",))
-            .build(),
-        ]
+        switch.int_stamper = IntStamper()
         self._telemetry_runtime = QueryRuntime(
             sim=self.api.federation.sim, site=self.site,
-            seed=telemetry.seed, on_report=self._on_telemetry_report)
-        self._telemetry_runtime.install(switch, plans)
+            seed=telemetry.seed, on_report=self._on_telemetry_report,
+            window=telemetry.window)
+        self._telemetry_runtime.install(
+            switch, {slot.dest_port_id for slot in self._slots})
         self.log.info(self.api.now, "setup", "telemetry queries installed",
-                      queries=len(plans), window=telemetry.window)
+                      queries=len(self._telemetry_runtime.queries),
+                      window=telemetry.window)
 
     def _on_telemetry_report(self, report: SketchReport) -> None:
         self._telemetry_reports.append(report)

@@ -236,7 +236,8 @@ def record_table(data: bytes) -> RecordTable:
     """The record table of the pcap ``data``, read in one pass.
 
     The rules are :class:`PcapReader`'s (non-strict): a short global
-    header or a bad magic raises ``ValueError``, and a final record cut
+    header, a bad magic or a whole record whose wire length is below
+    its captured length raises ``ValueError``, and a final record cut
     short ends the table with ``short_read`` set.  A pcap with no whole
     record returns without touching numpy.
     """
@@ -259,5 +260,7 @@ def record_table(data: bytes) -> RecordTable:
     heads = np.frombuffer(data, np.uint8).take(
         heads_at[:, None] + np.arange(16)).view(order + "u4")
     ts_sec, ts_usec, captured, wire = heads.astype(np.int64).T
+    if (wire < captured).any():     # PcapRecord's rule
+        raise ValueError("orig_len cannot be smaller than captured data")
     return RecordTable(heads_at + 16, captured, wire,
                        ts_sec + ts_usec / 1_000_000, short_read)

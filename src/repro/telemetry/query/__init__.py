@@ -3,10 +3,11 @@
 Three layers, built to beat 5-minute SNMP polling on the
 latency-to-detect vs telemetry-bytes tradeoff:
 
-1. A declarative query language (:mod:`~repro.telemetry.query.plan`)
-   compiled into incremental switch-side operators with sketch
-   pre-aggregation (:mod:`~repro.telemetry.query.operators`,
-   :mod:`~repro.telemetry.query.sketch`).
+1. Two standing switch-side queries with sketch pre-aggregation
+   (:mod:`~repro.telemetry.query.operators`,
+   :mod:`~repro.telemetry.query.sketch`): ``egress-load``, a count-min
+   sketch of wire bytes per egress port, and ``top-talkers``, a
+   heavy-hitter sketch of the top source MACs by wire bytes.
 2. An INT-style in-band path stamping per-frame egress queue state into
    a telemetry shim (:mod:`~repro.telemetry.query.inband`).
 3. Congestion detectors over both streams
@@ -15,7 +16,6 @@ latency-to-detect vs telemetry-bytes tradeoff:
 """
 
 from repro.telemetry.query.detectors import (
-    EGRESS_LOAD_QUERY,
     DetectorReading,
     InbandCongestionDetector,
     SketchCongestionDetector,
@@ -29,31 +29,31 @@ from repro.telemetry.query.inband import (
     peel,
 )
 from repro.telemetry.query.operators import (
-    CompiledQuery,
+    EGRESS_LOAD_QUERY,
+    TOP_TALKERS_QUERY,
+    EgressLoad,
     QueryRuntime,
     SketchReport,
-    compile_plan,
+    TopTalkers,
 )
-from repro.telemetry.query.plan import Query, QueryPlan
 from repro.telemetry.query.sketch import CountMinSketch, HeavyHitters
 
 __all__ = [
     "EGRESS_LOAD_QUERY",
     "SHIM_LEN",
-    "CompiledQuery",
+    "TOP_TALKERS_QUERY",
     "CountMinSketch",
     "DetectorReading",
+    "EgressLoad",
     "HeavyHitters",
     "InbandCongestionDetector",
     "IntStamper",
-    "Query",
-    "QueryPlan",
     "QueryRuntime",
     "SketchCongestionDetector",
     "SketchReport",
     "StampLog",
     "TelemetryShim",
-    "compile_plan",
+    "TopTalkers",
     "peel",
     "snmp_reading",
 ]

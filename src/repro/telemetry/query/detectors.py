@@ -28,10 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.telemetry.query.inband import StampLog
-from repro.telemetry.query.operators import SketchReport
-
-#: Query name the sketch detector consumes.
-EGRESS_LOAD_QUERY = "egress-load"
+from repro.telemetry.query.operators import EGRESS_LOAD_QUERY, SketchReport
 
 
 @dataclass(frozen=True)
@@ -63,14 +60,10 @@ class DetectorReading:
 
 
 class SketchCongestionDetector:
-    """Flags overload from periodic ``egress-load`` sketch reports."""
+    """Flags overload from periodic ``egress-load`` sketch reports: a
+    window whose estimated rate exceeds the destination line rate."""
 
     name = "sketch"
-
-    def __init__(self, headroom: float = 1.0):
-        if headroom <= 0:
-            raise ValueError("headroom must be positive")
-        self.headroom = headroom
 
     def check(self, reports: Iterable[SketchReport], dest_port: str,
               dest_rate_bps: float, start: float, end: float) -> DetectorReading:
@@ -98,7 +91,7 @@ class SketchCongestionDetector:
                 continue
             est_bytes = report.estimate(dest_port)
             rate_bps = est_bytes * 8.0 / duration
-            if rate_bps > dest_rate_bps * self.headroom and not overloaded:
+            if rate_bps > dest_rate_bps and not overloaded:
                 overloaded = True
                 # The evidence exists only once the window closes.
                 latency = report.window_end - start

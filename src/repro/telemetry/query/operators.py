@@ -1,14 +1,18 @@
-"""Compiling query plans into incremental switch-side operators.
+"""The two standing switch-side queries and the runtime that runs them.
 
-:func:`compile_plan` lowers a :class:`~repro.telemetry.query.plan.QueryPlan`
-into a :class:`CompiledQuery` -- the filter predicates become closures, the
-map stage a field projection, and the reduce stage one of three
-incremental state holders (exact sum dict, count-min sketch, heavy-hitter
-sketch).  :class:`QueryRuntime` owns the compiled queries for one switch:
-it taps the watched channels, tumbles the window on the simulator clock,
-and ships one :class:`SketchReport` per non-empty window to a caller
-supplied callback (the Patchwork instance journals them and feeds the
-sketch-report congestion detector).
+* ``egress-load`` sums wire bytes per egress port in a count-min sketch
+  and reports the estimates of the watched ports: the signal the sketch
+  congestion detector thresholds against the destination line rate.
+* ``top-talkers`` keeps the top :data:`TOP_K` source MACs by wire bytes
+  in a heavy-hitter sketch.
+
+Both sketches use ``epsilon = delta =`` :data:`EPSILON`, and hash under
+the label ``telemetry/<site>/<query>`` from the campaign seed.
+:class:`QueryRuntime` runs one or both for one switch: it taps the Tx
+channels of the watched ports, tumbles the window on the simulator
+clock, and ships one :class:`SketchReport` per non-empty window to a
+caller supplied callback (the Patchwork instance journals them and
+feeds the sketch-report congestion detector).
 
 Operator placement is the point: the per-frame work runs *inside* the
 dataplane (a channel tap, exactly like mirroring) and only the compact
@@ -20,41 +24,27 @@ each detector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netsim.engine import Event, Simulator
 from repro.netsim.frame import Frame
 from repro.netsim.link import Channel
-from repro.telemetry.query.plan import (
-    FilterSpec,
-    FrameView,
-    QueryPlan,
-    ReduceSpec,
-)
 from repro.telemetry.query.sketch import (
-    HH_ENTRY_BYTES,
     REPORT_HEADER_BYTES,
     CountMinSketch,
     HeavyHitters,
 )
 
+#: Query name the sketch detector consumes.
+EGRESS_LOAD_QUERY = "egress-load"
+TOP_TALKERS_QUERY = "top-talkers"
 
-def _predicate(spec: FilterSpec) -> Callable[[FrameView], bool]:
-    fld, op, value = spec.fld, spec.op, spec.value
-    if op == "==":
-        return lambda view: view.value(fld) == value
-    if op == "!=":
-        return lambda view: view.value(fld) != value
-    if op == "in":
-        members = frozenset(value) if not isinstance(value, frozenset) else value
-        return lambda view: view.value(fld) in members
-    if op == ">":
-        return lambda view: view.value(fld) > value
-    if op == ">=":
-        return lambda view: view.value(fld) >= value
-    if op == "<":
-        return lambda view: view.value(fld) < value
-    return lambda view: view.value(fld) <= value
+#: Count-min overcount bound and failure probability of both sketches.
+EPSILON = 0.05
+DELTA = 0.05
+
+#: Source MACs a ``top-talkers`` report keeps.
+TOP_K = 8
 
 
 @dataclass
@@ -69,10 +59,9 @@ class SketchReport:
     frames: int
     total_weight: int
     report_bytes: int
-    #: ``(key, estimate)`` pairs in deterministic order.  Exhaustive for
-    #: ``sum``, the full table is *not* shipped for count-min (only the
-    #: watched keys' estimates, resolved at flush time), top-k for
-    #: heavy-hitter.
+    #: ``(key, estimate)`` pairs in deterministic order: the watched
+    #: ports' estimates for count-min (the table itself is not
+    #: shipped), the top-k for heavy-hitter.
     estimates: Tuple[Tuple[str, int], ...]
 
     def estimate(self, key: str) -> int:
@@ -95,117 +84,27 @@ class SketchReport:
         }
 
 
-class _SumState:
-    """Exact per-key sums -- the 'full counter dump' baseline reducer."""
+class _StandingQuery:
+    """One query's sketch for the current window, and its report.
 
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-        self.total_weight = 0
+    A subclass names the query and its reducer, builds ``sketch`` and
+    defines ``observe(port_id, frame)``, ``estimates()`` and
+    ``report_bytes()``.
+    """
 
-    def update(self, key: str, weight: int) -> None:
-        self._counts[key] = self._counts.get(key, 0) + weight
-        self.total_weight += weight
+    name = ""
+    kind = ""
 
-    def reset(self) -> None:
-        self._counts = {}
-        self.total_weight = 0
-
-    def estimates(self, watched: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
-        return tuple(sorted(self._counts.items()))
-
-    def report_bytes(self) -> int:
-        return REPORT_HEADER_BYTES + len(self._counts) * HH_ENTRY_BYTES
-
-
-class _CountMinState:
-    """Count-min reducer: fixed-size table regardless of key cardinality."""
-
-    def __init__(self, spec: ReduceSpec, seed: int, label: str) -> None:
-        self.sketch = CountMinSketch(epsilon=spec.epsilon, delta=spec.delta,
-                                     seed=seed, label=label)
-        self._keys_seen: Dict[str, None] = {}
-
-    @property
-    def total_weight(self) -> int:
-        return self.sketch.total_weight
-
-    def update(self, key: str, weight: int) -> None:
-        self.sketch.update(key, weight)
-        self._keys_seen[key] = None
-
-    def reset(self) -> None:
-        self.sketch.reset()
-        self._keys_seen = {}
-
-    def estimates(self, watched: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
-        # The report resolves point estimates for the watched keys (the
-        # consumer-declared keys of interest); with no watch list, every
-        # key seen this window is resolved -- still from sketch state, so
-        # estimates carry the count-min overcount, never an undercount.
-        keys = watched or tuple(sorted(self._keys_seen))
-        return tuple((key, self.sketch.estimate(key)) for key in sorted(keys))
-
-    def report_bytes(self) -> int:
-        return REPORT_HEADER_BYTES + self.sketch.table_bytes
-
-
-class _HeavyHitterState:
-    """Heavy-hitter reducer: top-k entries only leave the switch."""
-
-    def __init__(self, spec: ReduceSpec, seed: int, label: str) -> None:
-        self.hh = HeavyHitters(k=spec.k, epsilon=spec.epsilon,
-                               delta=spec.delta, seed=seed, label=label)
-
-    @property
-    def total_weight(self) -> int:
-        return self.hh.total_weight
-
-    def update(self, key: str, weight: int) -> None:
-        self.hh.update(key, weight)
-
-    def reset(self) -> None:
-        self.hh.reset()
-
-    def estimates(self, watched: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
-        return tuple(self.hh.top())
-
-    def report_bytes(self) -> int:
-        return REPORT_HEADER_BYTES + self.hh.report_bytes
-
-
-class CompiledQuery:
-    """One plan lowered to incremental operators over a frame stream."""
-
-    def __init__(self, plan: QueryPlan, site: str, seed: int):
-        self.plan = plan
+    def __init__(self, site: str, seed: int, ports: Tuple[str, ...]):
         self.site = site
-        self._predicates = [_predicate(f) for f in plan.filters]
-        label = f"telemetry/{site}/{plan.name}"
-        if plan.reduce.kind == "sum":
-            self._state: object = _SumState()
-        elif plan.reduce.kind == "count-min":
-            self._state = _CountMinState(plan.reduce, seed, label)
-        else:
-            self._state = _HeavyHitterState(plan.reduce, seed, label)
+        self.ports = ports
+        self.label = f"telemetry/{site}/{self.name}"
         self.frames_observed = 0
-
-    def observe(self, view: FrameView) -> None:
-        """The per-frame operator chain: filter -> map -> reduce."""
-        for predicate in self._predicates:
-            if not predicate(view):
-                return
-        self.frames_observed += 1
-        key = str(view.value(self.plan.map.key))
-        if self.plan.map.value == "frames":
-            weight = 1
-        else:
-            weight = view.wire_len
-        self._state.update(key, weight)
 
     def flush(self, window_start: float, window_end: float) -> Optional[SketchReport]:
         """Emit this window's report and reset for the next one.
 
-        Empty windows (no frames matched) produce no report -- a real
+        Empty windows (no frames observed) produce no report -- a real
         switch would suppress them too, and skipping them keeps journals
         compact and deterministic.
         """
@@ -213,52 +112,98 @@ class CompiledQuery:
             return None
         report = SketchReport(
             site=self.site,
-            query=self.plan.name,
-            kind=self.plan.reduce.kind,
+            query=self.name,
+            kind=self.kind,
             window_start=window_start,
             window_end=window_end,
             frames=self.frames_observed,
-            total_weight=int(self._state.total_weight),
-            report_bytes=int(self._state.report_bytes()),
-            estimates=self._state.estimates(self.plan.ports),
+            total_weight=int(self.sketch.total_weight),
+            report_bytes=self.report_bytes(),
+            estimates=self.estimates(),
         )
         self.reset()
         return report
 
     def reset(self) -> None:
         self.frames_observed = 0
-        self._state.reset()
+        self.sketch.reset()
 
+
+class EgressLoad(_StandingQuery):
+    """Wire bytes per egress port, in a count-min sketch."""
+
+    name = EGRESS_LOAD_QUERY
+    kind = "count-min"
+
+    def __init__(self, site: str, seed: int, ports: Tuple[str, ...]):
+        super().__init__(site, seed, ports)
+        self.sketch = CountMinSketch(epsilon=EPSILON, delta=DELTA,
+                                     seed=seed, label=self.label)
+
+    def observe(self, port_id: str, frame: Frame) -> None:
+        self.frames_observed += 1
+        self.sketch.update(port_id, frame.wire_len)
+
+    def estimates(self) -> Tuple[Tuple[str, int], ...]:
+        # Point estimates from sketch state, so they carry the count-min
+        # overcount, never an undercount.
+        return tuple((port, self.sketch.estimate(port))
+                     for port in self.ports)
+
+    def report_bytes(self) -> int:
+        return REPORT_HEADER_BYTES + self.sketch.table_bytes
+
+
+class TopTalkers(_StandingQuery):
+    """The heaviest source MACs by wire bytes; only the top-k ship."""
+
+    name = TOP_TALKERS_QUERY
+    kind = "heavy-hitter"
+
+    def __init__(self, site: str, seed: int, ports: Tuple[str, ...]):
+        super().__init__(site, seed, ports)
+        self.sketch = HeavyHitters(k=TOP_K, epsilon=EPSILON, delta=DELTA,
+                                   seed=seed, label=self.label)
+
+    def observe(self, port_id: str, frame: Frame) -> None:
+        self.frames_observed += 1
+        l2 = frame.l2   # destination MAC, then source MAC
+        self.sketch.update(l2[6:12].hex() if len(l2) >= 12 else "",
+                           frame.wire_len)
+
+    def estimates(self) -> Tuple[Tuple[str, int], ...]:
+        return tuple(self.sketch.top())
+
+    def report_bytes(self) -> int:
+        return REPORT_HEADER_BYTES + self.sketch.report_bytes
+
+
+#: Every standing query by name, in install order.
+QUERIES = {query.name: query for query in (EgressLoad, TopTalkers)}
 
 ReportSink = Callable[[SketchReport], None]
 
 
-@dataclass
-class _TapBinding:
-    channel: Channel
-    tap: Callable[[Frame], None]
-
-
 class QueryRuntime:
-    """Runs compiled queries switch-side and tumbles their windows.
+    """Runs standing queries switch-side and tumbles their windows.
 
     Lifecycle: :meth:`install` once per switch (adds the channel taps),
     :meth:`arm` at the start of each capture sample (resets sketch state
     and starts the window clock), :meth:`finalize` at sample end (force
     flushes the partial window and stops the clock).  Between samples the
-    taps stay in place but :meth:`observe` returns immediately -- the
-    operators only meter traffic while a sample is open, mirroring how
-    the capture slots work.
+    taps stay in place but ignore traffic -- the queries only meter
+    while a sample is open, mirroring how the capture slots work.
     """
 
     def __init__(self, sim: Simulator, site: str, seed: int,
-                 on_report: ReportSink):
+                 on_report: ReportSink, window: float = 1.0):
         self.sim = sim
         self.site = site
         self.seed = seed
         self.on_report = on_report
-        self.queries: List[CompiledQuery] = []
-        self._bindings: List[_TapBinding] = []
+        self.window = window
+        self.queries: List[_StandingQuery] = []
+        self._bindings: List[Tuple[Channel, Callable[[Frame], None]]] = []
         self._armed = False
         self._window_start = 0.0
         self._flush_event: Optional[Event] = None
@@ -267,43 +212,36 @@ class QueryRuntime:
 
     # -- installation ----------------------------------------------------
 
-    def install(self, switch, plans: List[QueryPlan]) -> None:
-        """Compile ``plans`` and tap the watched channels on ``switch``."""
-        for plan in plans:
-            compiled = CompiledQuery(plan, self.site, self.seed)
-            self.queries.append(compiled)
-            port_ids = plan.ports or tuple(sorted(switch.ports))
-            for port_id in port_ids:
-                port = switch.ports[port_id]
-                for direction in plan.directions:
-                    channel = port.link.tx if direction == "tx" else port.link.rx
-                    tap = self._make_tap(compiled, port_id, direction)
-                    channel.add_tap(tap)
-                    self._bindings.append(_TapBinding(channel, tap))
+    def install(self, switch, ports: Iterable[str],
+                queries: Sequence[str] = tuple(QUERIES)) -> None:
+        """Run ``queries`` over the Tx channels of ``ports`` on ``switch``."""
+        watched = tuple(sorted(ports))
+        self.queries = [QUERIES[name](self.site, self.seed, watched)
+                        for name in queries]
+        for port_id in watched:
+            channel = switch.ports[port_id].link.tx
+            tap = self._make_tap(port_id)
+            channel.add_tap(tap)
+            self._bindings.append((channel, tap))
 
-    def _make_tap(self, compiled: CompiledQuery, port_id: str,
-                  direction: str) -> Callable[[Frame], None]:
+    def _make_tap(self, port_id: str) -> Callable[[Frame], None]:
+        queries = self.queries
+
         def tap(frame: Frame) -> None:
-            if not self._armed:
-                return
-            view = FrameView(port=port_id, direction=direction,
-                             wire_len=frame.wire_len, head=frame.head)
-            compiled.observe(view)
+            if self._armed:
+                for query in queries:
+                    query.observe(port_id, frame)
 
         return tap
 
     def uninstall(self) -> None:
         """Remove every tap (instance teardown)."""
-        for binding in self._bindings:
-            binding.channel.remove_tap(binding.tap)
+        for channel, tap in self._bindings:
+            channel.remove_tap(tap)
         self._bindings = []
         self.queries = []
 
     # -- window clock ----------------------------------------------------
-
-    @property
-    def window(self) -> float:
-        return min(q.plan.window for q in self.queries) if self.queries else 1.0
 
     def arm(self, now: float) -> None:
         """Start metering: reset all sketch state, begin the first window."""
@@ -343,8 +281,3 @@ class QueryRuntime:
             self._flush_event = None
         if now > self._window_start:
             self._flush_window(self._window_start, now)
-
-
-def compile_plan(plan: QueryPlan, site: str, seed: int) -> CompiledQuery:
-    """Lower one plan for one site (convenience for tests)."""
-    return CompiledQuery(plan, site, seed)

@@ -151,12 +151,40 @@ edits = st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 255)),
                  min_size=1, max_size=3)
 
 
-def _walk_matches_dissector(stacks, cut, mutations, runts, garbage, extra):
+def short_on_the_wire(data, pick):
+    """The pcap ``data`` with the wire length of one record that
+    captured any bytes (the ``pick``-th, modulo their count) set one
+    below its captured length."""
+    nonempty = []
+    pos = 24
+    while pos + 16 <= len(data):
+        incl = struct.unpack_from(">I", data, pos + 8)[0]
+        if incl:
+            nonempty.append((pos, incl))
+        pos += 16 + incl
+    pos, incl = nonempty[pick % len(nonempty)]
+    return data[:pos + 12] + struct.pack(">I", incl - 1) + data[pos + 16:]
+
+
+def assert_both_raise(data):
+    with pytest.raises(ValueError):
+        digest_pcap("SITE/x.pcap", data=data)
+    with pytest.raises(ValueError):
+        digest_pcap("SITE/x.pcap", data=data, dissector=Dissector())
+
+
+def _walk_matches_dissector(stacks, cut, mutations, runts, garbage, extra,
+                            short):
     datas = []
     for frame in stacks:
         datas += every_cut(frame) if cut else [frame]
     datas += [mutated(frame, change) for frame in stacks for change in mutations]
-    assert_same_entry(pcap_of(datas + runts + garbage, wire_extra=extra))
+    data = pcap_of(datas + runts + garbage, wire_extra=extra)
+    if short is None:
+        assert_same_entry(data)
+    else:
+        # PcapRecord's rule: a record cannot be longer than the wire.
+        assert_both_raise(short_on_the_wire(data, short))
 
 
 walk_cases = dict(
@@ -166,6 +194,9 @@ walk_cases = dict(
     runts=st.lists(st.binary(max_size=13), max_size=3),
     garbage=st.lists(st.binary(min_size=14, max_size=200), max_size=3),
     extra=st.integers(0, 2000),
+    # Mostly None: an intact pcap, whose entries must agree.
+    short=st.one_of(st.none(), st.none(), st.none(),
+                    st.integers(0, 10_000)),
 )
 
 
@@ -173,15 +204,17 @@ class TestColumnarWalkProperties:
     @given(**walk_cases)
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_dissector(self, stacks, cut, mutations, runts,
-                                    garbage, extra):
-        _walk_matches_dissector(stacks, cut, mutations, runts, garbage, extra)
+                                    garbage, extra, short):
+        _walk_matches_dissector(stacks, cut, mutations, runts, garbage, extra,
+                                short)
 
     @pytest.mark.slow
     @given(**walk_cases)
     @settings(max_examples=600, deadline=None)
     def test_walk_matches_dissector_deep(self, stacks, cut, mutations, runts,
-                                         garbage, extra):
-        _walk_matches_dissector(stacks, cut, mutations, runts, garbage, extra)
+                                         garbage, extra, short):
+        _walk_matches_dissector(stacks, cut, mutations, runts, garbage, extra,
+                                short)
 
     @given(st.lists(frames, min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -222,6 +255,36 @@ class TestPcapEdgeCases:
                VLAN(9), IPv4("10.0.0.1", "10.0.0.2"), UDP(5000, 53),
                DNSHeader()]))
         assert_same_entry(pcap_of(every_cut(frame) + every_cut(self.FRAME)))
+
+    def test_deep_chains_do_not_recurse(self):
+        """2,000 VLAN tags (an 8 KB frame), and pseudowires nested 400
+        deep, each cut at a few lengths: the generic dissector walks
+        them in a loop, so both routes digest them."""
+        eth = Ethernet("02:00:00:00:00:01", "02:00:00:00:00:02")
+        tail = [IPv4("10.0.0.1", "10.0.0.2"), UDP(5000, 53), DNSHeader()]
+        tags = FrameBuilder().build(FrameSpec(
+            [eth] + [VLAN(vid % 4096) for vid in range(2000)] + tail))
+        assert len(tags) > 8000
+        nested = FrameBuilder().build(FrameSpec(
+            [eth, MPLS(16000), PseudoWireControlWord()] * 400
+            + [eth, VLAN(9)] + tail))
+        datas = [frame[:n] for frame in (tags, nested)
+                 for n in (len(frame), len(frame) - 30, 5000)]
+        assert_same_entry(pcap_of(datas))
+        acap = digest_pcap("SITE/x.pcap", data=pcap_of([tags]))
+        assert acap.records[0].vlan_ids[-1] == 1999
+
+    def test_wire_shorter_than_captured(self):
+        """One record whose wire length is below its captured length
+        makes the pcap unreadable on both routes, wherever it sits."""
+        data = pcap_of(every_cut(self.FRAME, limit=40))
+        for pick in (0, 7, 40):
+            bad = short_on_the_wire(data, pick)
+            with pytest.raises(ValueError):
+                record_table(bad)
+            with pytest.raises(ValueError):
+                PcapReader(io.BytesIO(bad)).read_all()
+            assert_both_raise(bad)
 
     def test_empty_pcap(self):
         data = pcap_of([])

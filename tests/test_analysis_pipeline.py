@@ -5,6 +5,8 @@ traffic on a four-site federation.
 """
 
 
+import pytest
+
 from repro.analysis import AnalysisPipeline
 
 
@@ -108,3 +110,29 @@ class TestQuarantine:
         pipeline.run(self.make_corpus(tmp_path, corrupt=0))
         assert pipeline.stats.quarantined == 0
         assert "quarantined" not in pipeline.stats.render()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_record_longer_than_the_wire_quarantined(self, tmp_path, cached):
+        """A pcap with a record whose wire length is below its captured
+        length is quarantined, without and with the acap cache, cold and
+        warm: the cache never stores an entry for it."""
+        import struct
+
+        from repro.obs import Observability, scoped
+
+        good, _, bad = self.make_corpus(tmp_path)
+        data = bytearray(good.read_bytes())
+        struct.pack_into(">I", data, 24 + 12, 100)  # first record: incl 200
+        bad.write_bytes(bytes(data))
+        cache_dir = tmp_path / "cache" if cached else None
+        for _run in range(2):
+            with scoped(Observability.create()) as obs:
+                pipeline = AnalysisPipeline(cache_dir=cache_dir)
+                report = pipeline.run([good, bad])
+            assert pipeline.stats.quarantined == 1
+            assert report.total_frames == 5
+            assert [event.data["pcap"] for event
+                    in obs.journal.of_kind("pipeline-quarantine")] == \
+                ["STAR/bad0.pcap"]
+        if cached:
+            assert len(list(cache_dir.rglob("*.acap"))) == 1

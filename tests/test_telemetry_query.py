@@ -1,4 +1,4 @@
-"""Streaming telemetry: query plans, sketches, in-band stamps, detectors.
+"""Streaming telemetry: standing queries, sketches, in-band stamps, detectors.
 
 Three properties anchor the subsystem and get the heaviest coverage:
 
@@ -25,70 +25,23 @@ from repro.netsim.frame import Frame
 from repro.telemetry.query import (
     EGRESS_LOAD_QUERY,
     SHIM_LEN,
+    TOP_TALKERS_QUERY,
     CountMinSketch,
+    EgressLoad,
     HeavyHitters,
     InbandCongestionDetector,
     IntStamper,
-    Query,
     QueryRuntime,
     SketchCongestionDetector,
     SketchReport,
     StampLog,
     TelemetryShim,
-    compile_plan,
+    TopTalkers,
     peel,
     snmp_reading,
 )
-from repro.telemetry.query.plan import FrameView
 from repro.testbed.chaos import default_manifest
 from repro.util.rng import derive_rng
-
-# ---------------------------------------------------------------------------
-# Query plans
-
-
-class TestQueryPlan:
-    def test_builder_produces_frozen_plan(self):
-        plan = (Query("q").filter(("direction", "==", "tx"))
-                .map(key="port", value="wire_len")
-                .reduce("count-min", epsilon=0.1, delta=0.1)
-                .every(2.0).watch(ports=("p1",), directions=("tx",)).build())
-        assert plan.window == 2.0
-        assert plan.ports == ("p1",)
-        assert plan.reduce.kind == "count-min"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.window = 3.0
-
-    def test_missing_stages_rejected(self):
-        with pytest.raises(ValueError, match="map"):
-            Query("q").reduce("sum").build()
-        with pytest.raises(ValueError, match="reduce"):
-            Query("q").map(key="port").build()
-
-    def test_unknown_field_op_kind_rejected(self):
-        with pytest.raises(ValueError, match="frame field"):
-            Query("q").filter(("vlan", "==", 1))
-        with pytest.raises(ValueError, match="filter op"):
-            Query("q").filter(("port", "~=", "p1"))
-        with pytest.raises(ValueError, match="reduce kind"):
-            Query("q").map(key="port").reduce("bloom")
-        with pytest.raises(ValueError, match="window"):
-            Query("q").map(key="port").reduce("sum").every(0.0).build()
-
-    def test_describe_mentions_every_stage(self):
-        plan = (Query("load").filter(("wire_len", ">", 100))
-                .map(key="port").reduce("sum").every(1.0).build())
-        text = plan.describe()
-        for token in ("load", "wire_len > 100", "key=port", "sum", "1.0s"):
-            assert token in text
-
-    def test_frame_view_derives_header_fields(self):
-        head = bytes(range(6)) + bytes(range(6, 12)) + b"\x08\x00" + b"\x00" * 20
-        view = FrameView(port="p1", direction="tx", wire_len=64, head=head)
-        assert view.dst_mac == "000102030405"
-        assert view.src_mac == "060708090a0b"
-        assert view.ethertype == 0x0800
-
 
 # ---------------------------------------------------------------------------
 # Sketches
@@ -191,75 +144,89 @@ class TestHeavyHitters:
 
 
 # ---------------------------------------------------------------------------
-# Compiled operators
+# Standing queries
 
 
-def _view(port="p1", direction="tx", wire_len=100, head=b""):
-    return FrameView(port=port, direction=direction, wire_len=wire_len,
-                     head=head)
+def _frame(wire_len=100, src=b"\x02\x00\x00\x00\x00\x01"):
+    return Frame(wire_len=wire_len,
+                 head=b"\xff" * 6 + src + b"\x08\x00")
 
 
-class TestCompiledQuery:
-    def test_filter_map_reduce_sum(self):
-        plan = (Query("q").filter(("direction", "==", "tx"))
-                .map(key="port", value="wire_len").reduce("sum")
-                .every(1.0).build())
-        compiled = compile_plan(plan, "STAR", seed=1)
-        compiled.observe(_view(port="p1", wire_len=100))
-        compiled.observe(_view(port="p1", wire_len=50))
-        compiled.observe(_view(port="p2", wire_len=25))
-        compiled.observe(_view(port="p1", direction="rx"))   # filtered out
-        report = compiled.flush(0.0, 1.0)
+class TestStandingQueries:
+    def test_egress_load_sums_bytes_per_port(self):
+        query = EgressLoad("STAR", seed=1, ports=("p1", "p2"))
+        query.observe("p1", _frame(wire_len=100))
+        query.observe("p1", _frame(wire_len=50))
+        query.observe("p2", _frame(wire_len=25))
+        report = query.flush(0.0, 1.0)
+        assert (report.query, report.kind) == (EGRESS_LOAD_QUERY, "count-min")
         assert report.frames == 3
-        assert report.estimates == (("p1", 150), ("p2", 25))
+        assert report.total_weight == 175
+        assert report.estimate("p1") >= 150
+        assert report.estimate("p2") >= 25
         assert report.estimate("p9") == 0
-
-    def test_frames_value_counts_frames_not_bytes(self):
-        plan = (Query("q").map(key="port", value="frames").reduce("sum")
-                .every(1.0).build())
-        compiled = compile_plan(plan, "STAR", seed=1)
-        for _ in range(5):
-            compiled.observe(_view(wire_len=1500))
-        assert compiled.flush(0.0, 1.0).estimates == (("p1", 5),)
+        # eps = 0.05 -> 55 columns; delta = 0.05 -> 3 rows of 4 bytes.
+        assert report.report_bytes == 16 + 55 * 3 * 4
 
     def test_empty_window_emits_no_report(self):
-        plan = Query("q").map(key="port").reduce("sum").every(1.0).build()
-        compiled = compile_plan(plan, "STAR", seed=1)
-        assert compiled.flush(0.0, 1.0) is None
+        assert EgressLoad("STAR", seed=1, ports=("p1",)).flush(0.0, 1.0) \
+            is None
+        assert TopTalkers("STAR", seed=1, ports=("p1",)).flush(0.0, 1.0) \
+            is None
 
     def test_count_min_estimates_cover_watched_ports(self):
-        plan = (Query("q").map(key="port").reduce("count-min")
-                .every(1.0).watch(ports=("p1", "p2")).build())
-        compiled = compile_plan(plan, "STAR", seed=1)
-        compiled.observe(_view(port="p1", wire_len=100))
-        report = compiled.flush(0.0, 1.0)
+        query = EgressLoad("STAR", seed=1, ports=("p1", "p2"))
+        query.observe("p1", _frame(wire_len=100))
+        report = query.flush(0.0, 1.0)
         keys = [key for key, _ in report.estimates]
         assert keys == ["p1", "p2"]
         assert report.estimate("p1") >= 100
 
     def test_flush_resets_for_next_window(self):
-        plan = Query("q").map(key="port").reduce("count-min").every(1.0).build()
-        compiled = compile_plan(plan, "STAR", seed=1)
-        compiled.observe(_view(wire_len=100))
-        first = compiled.flush(0.0, 1.0)
-        compiled.observe(_view(wire_len=40))
-        second = compiled.flush(1.0, 2.0)
+        query = EgressLoad("STAR", seed=1, ports=("p1",))
+        query.observe("p1", _frame(wire_len=100))
+        first = query.flush(0.0, 1.0)
+        query.observe("p1", _frame(wire_len=40))
+        second = query.flush(1.0, 2.0)
         assert first.total_weight == 100
         assert second.total_weight == 40
+
+    def test_top_talkers_ranks_source_macs(self):
+        query = TopTalkers("STAR", seed=1, ports=("p1",))
+        heavy, light = b"\x02" + b"\x00" * 4 + b"\x0a", b"\x02" + b"\x00" * 5
+        for _ in range(3):
+            query.observe("p1", _frame(wire_len=1000, src=heavy))
+        query.observe("p1", _frame(wire_len=60, src=light))
+        report = query.flush(0.0, 1.0)
+        assert (report.query, report.kind) == (TOP_TALKERS_QUERY,
+                                               "heavy-hitter")
+        assert [key for key, _ in report.estimates] == \
+            [heavy.hex(), light.hex()]
+        assert report.estimate(heavy.hex()) >= 3000
+        assert report.report_bytes == 16 + 2 * 12
+
+    def test_sketches_hash_under_the_site_and_query_label(self):
+        a = EgressLoad("STAR", seed=1, ports=("p1",))
+        b = EgressLoad("MICH", seed=1, ports=("p1",))
+        assert a.sketch.state() == b.sketch.state()
+        a.observe("p1", _frame())
+        b.observe("p1", _frame())
+        assert a.sketch.state() != b.sketch.state()
+        reference = CountMinSketch(epsilon=0.05, delta=0.05, seed=1,
+                                   label="telemetry/STAR/egress-load")
+        reference.update("p1", 100)
+        assert a.sketch.state() == reference.state()
 
 
 class TestQueryRuntime:
     """The window clock + tap lifecycle against a real switch."""
 
-    def _runtime(self, federation, reports, window=1.0):
+    def _runtime(self, federation, reports, queries=(EGRESS_LOAD_QUERY,)):
         switch = federation.site("STAR").switch
         port_id = sorted(switch.ports)[0]
-        plan = (Query(EGRESS_LOAD_QUERY).map(key="port", value="wire_len")
-                .reduce("count-min").every(window)
-                .watch(ports=(port_id,), directions=("tx",)).build())
         runtime = QueryRuntime(federation.sim, "STAR", seed=42,
                                on_report=reports.append)
-        runtime.install(switch, [plan])
+        runtime.install(switch, (port_id,), queries=queries)
         return runtime, switch, port_id
 
     def _offer(self, switch, port_id, n=3, wire_len=200):
@@ -284,6 +251,24 @@ class TestQueryRuntime:
         assert runtime.reports_emitted == 2
         assert runtime.report_bytes_total == \
             sum(r.report_bytes for r in reports)
+
+    def test_default_install_runs_both_queries(self, federation):
+        reports = []
+        runtime, switch, port_id = self._runtime(
+            federation, reports, queries=(EGRESS_LOAD_QUERY,
+                                          TOP_TALKERS_QUERY))
+        runtime.arm(federation.sim.now)
+        self._offer(switch, port_id)
+        federation.sim.run(until=1.5)
+        runtime.finalize(federation.sim.now)
+        assert [(r.query, r.frames) for r in reports] == \
+            [(EGRESS_LOAD_QUERY, 3), (TOP_TALKERS_QUERY, 3)]
+        assert reports[1].estimates == (("000000000000", 600),)
+        default = QueryRuntime(federation.sim, "STAR", seed=42,
+                               on_report=reports.append)
+        default.install(switch, (port_id,))
+        assert [q.name for q in default.queries] == \
+            [EGRESS_LOAD_QUERY, TOP_TALKERS_QUERY]
 
     def test_disarmed_taps_ignore_traffic(self, federation):
         reports = []
@@ -530,6 +515,15 @@ class TestSnmpReading:
 TELEMETRY_MANIFEST = dataclasses.replace(
     default_manifest(7), telemetry_queries=True, telemetry_window=0.5)
 
+# The bytes of TELEMETRY_MANIFEST's outputs.  A change to the query
+# runtime, the sketches or the detectors must leave all three alone.
+TELEMETRY_JOURNAL_SHA256 = \
+    "2e7f88c1878742df83d156eecb99226b2e6a4626c6c46603d84a9beba78b7471"
+TELEMETRY_SHARDED_JOURNAL_SHA256 = \
+    "f8683616b24cfeeaafcf36802f307ded9ca9c5d7ee72bad794a03a235a881545"
+TELEMETRY_RECORDS_SHA256 = \
+    "8b55127ec90d703aaf3e74ce7f05d563ced38cb19728fa07e22e1cc2282184a5"
+
 
 def _run_campaign(run_dir, manifest, workers=1):
     from repro.core.campaign import CampaignRunner
@@ -541,6 +535,32 @@ def _run_campaign(run_dir, manifest, workers=1):
 
 
 class TestTelemetryCampaignDeterminism:
+    def test_serial_outputs_pinned(self, tmp_path):
+        from collections import Counter
+
+        from repro.core.checkpoint import sha256_file
+        from repro.obs import RunJournal
+
+        run_dir = tmp_path / "run"
+        _, sha = _run_campaign(run_dir, TELEMETRY_MANIFEST)
+        assert sha == TELEMETRY_JOURNAL_SHA256
+        assert sha256_file(run_dir / "records.json") == \
+            TELEMETRY_RECORDS_SHA256
+        journal = RunJournal.read(run_dir / "journal.jsonl")
+        queries = Counter(event.data["query"] for event
+                          in journal.of_kind("telemetry-report"))
+        assert queries == {"egress-load": 16, "top-talkers": 16}
+
+    def test_sharded_outputs_pinned(self, tmp_path):
+        from repro.core.checkpoint import sha256_file
+
+        run_dir = tmp_path / "run"
+        manifest = dataclasses.replace(TELEMETRY_MANIFEST, sharded=True)
+        _, sha = _run_campaign(run_dir, manifest, workers=2)
+        assert sha == TELEMETRY_SHARDED_JOURNAL_SHA256
+        assert sha256_file(run_dir / "records.json") == \
+            TELEMETRY_RECORDS_SHA256
+
     def test_two_runs_byte_identical(self, tmp_path):
         _, sha_a = _run_campaign(tmp_path / "a", TELEMETRY_MANIFEST)
         summary, sha_b = _run_campaign(tmp_path / "b", TELEMETRY_MANIFEST)
