@@ -21,9 +21,8 @@ import struct
 import sys
 import zlib
 from functools import partial
-from operator import getitem
 from io import BytesIO
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -68,22 +67,49 @@ class AcapRecord(NamedTuple):
         return len(self.stack)
 
 
+class Ragged(NamedTuple):
+    """A table of int tuples as two arrays: each entry's length (int64),
+    then every entry's items end to end."""
+
+    lengths: np.ndarray
+    items: np.ndarray
+
+    @classmethod
+    def of(cls, entries: Sequence[Sequence[int]]) -> "Ragged":
+        return cls(_lengths(entries),
+                   np.fromiter(chain.from_iterable(entries), np.int64))
+
+    def subset(self, rows: np.ndarray) -> "Ragged":
+        """Entries ``rows``, given in ascending order."""
+        keep = np.zeros(len(self.lengths), bool)
+        keep[rows] = True
+        return Ragged(self.lengths[rows],
+                      self.items[np.repeat(keep, self.lengths)])
+
+    def tuples(self) -> list:
+        """Every entry as a tuple."""
+        return _cut(self.lengths, self.items)
+
+
 class AcapColumns(NamedTuple):
     """An acap as three tables and one array per :class:`AcapRecord`
     field, in field order.
 
     ``strings`` holds every address and header name once, ``stacks``
     every distinct header stack (tuples of names) and ``tags`` every
-    distinct VLAN or MPLS tag tuple.  The ``stack``, ``vlan_ids``,
-    ``mpls_labels``, ``src`` and ``dst`` arrays are ids into those
-    tables; ``timestamp`` is float64 and the rest are integers
-    (``truncated`` as 0/1).  This is the layout :func:`encode_acap`
-    writes, so :func:`decode_acap` reads it without building records.
+    distinct VLAN or MPLS tag tuple, as a :class:`Ragged` table: the
+    tags stay arrays from the Digest walk through the cache entry to
+    the flow grouping, and become tuples only when :attr:`AcapFile.records`
+    is read.  The ``stack``, ``vlan_ids``, ``mpls_labels``, ``src`` and
+    ``dst`` arrays are ids into those tables; ``timestamp`` is float64
+    and the rest are integers (``truncated`` as 0/1).  This is the
+    layout :func:`encode_acap` writes, so :func:`decode_acap` reads it
+    without building records or tag tuples.
     """
 
     strings: List[str]
     stacks: List[Tuple[str, ...]]
-    tags: List[Tuple[int, ...]]
+    tags: Ragged
     timestamp: np.ndarray
     wire_len: np.ndarray
     captured_len: np.ndarray
@@ -217,6 +243,12 @@ _NAMES = ("eth", "vlan", "mpls", "pw", "arp", "ipv4", "ipv6", "tcp", "udp",
           "icmp", "tls", "ssh", "dns", "http", "ntp", "iperf", "padding",
           "data")
 _NAME_IDS = {name: i for i, name in enumerate(_NAMES)}
+#: Bits per item when a header stack (name ids) or a tag tuple (12-bit
+#: VLAN ids, 20-bit MPLS labels) is packed into an int64 key, and the
+#: shift of each item within the key.
+_NAME_BITS, _TAG_BITS = 5, 21
+_SHIFTS = {bits: 1 << np.arange(0, 63 // bits * bits, bits)
+           for bits in (_NAME_BITS, _TAG_BITS)}
 
 
 def _lookup(size: int, kinds: dict) -> np.ndarray:
@@ -598,27 +630,28 @@ class _Walk:
     def _finish(self) -> AcapColumns:
         n = self.n
         # Put the logged header names, VLAN ids and MPLS labels in
-        # order: by kind (0, 1, 2), frame and walk order.  Sequence
-        # ``frame`` holds a frame's names, ``n + frame`` its VLAN ids
-        # and ``2n + frame`` its labels, each entry one more than the
-        # id or tag, so that 0 marks the end.
+        # order: by kind (0, 1, 2), frame and walk order.  That is 3n
+        # ragged entries: each frame's names, then each frame's VLAN
+        # ids, then each frame's labels; the names and the tags are
+        # interned as two tables.
         logged = self.named + self.logged
         sizes = list(map(len, logged))
-        rows = np.concatenate(logged) + n * np.repeat(
-            np.array([0] * len(self.named) + self.kinds), sizes)
+        kinds = [0] * len(self.named) + self.kinds
+        rows = np.concatenate(logged) + n * np.repeat(np.array(kinds), sizes)
         values = np.concatenate(
             [np.repeat(np.array(self.names), sizes[:len(self.named)])]
-            + self.values) + 1
-        order = np.argsort(rows, kind="stable")
-        rows, values = rows[order], values[order]
-        named = int(np.searchsorted(rows, n))
+            + self.values)
+        values = values[np.argsort(rows, kind="stable")]
+        named = sum(size for size, kind in zip(sizes, kinds) if not kind)
         lengths = np.bincount(rows, minlength=3 * n)
-        at = np.arange(len(rows)) - (np.cumsum(lengths) - lengths)[rows]
+        rows, at = _positions(lengths)
         stacks, stack_ids = _intern_runs(
-            rows[:named], at[:named], values[:named], lengths[:n], 5)
-        stacks = [tuple(map(_NAMES.__getitem__, stack)) for stack in stacks]
+            Ragged(lengths[:n], values[:named]), _NAME_BITS,
+            rows[:named], at[:named])
+        stacks = _cut(stacks.lengths, stacks.items, _NAMES)
         tags, tag_ids = _intern_runs(
-            rows[named:] - n, at[named:], values[named:], lengths[n:], 21)
+            Ragged(lengths[n:], values[named:]), _TAG_BITS,
+            rows[named:] - n, at[named:])
         keys = self.addresses.ravel()
         first, address_ids = _first_seen(keys)
         strings = _address_strings(keys[first], list(self.v6))
@@ -632,40 +665,54 @@ class _Walk:
             fields[_TRUNCATED])
 
 
-def _intern_runs(rows: np.ndarray, at: np.ndarray, values: np.ndarray,
-                 lengths: np.ndarray, bits: int) -> Tuple[list, np.ndarray]:
-    """Intern runs of values as :func:`_intern` interns tuples.  Run
-    ``r`` has ``lengths[r]`` entries; entry ``at`` of run ``row`` is
-    ``value - 1``, every value being in ``1 .. 2 ** bits - 1``, and
-    ``rows`` is sorted.  Returns the distinct runs as tuples, first
-    seen first, and each run's index among them.
+def _positions(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each item of a :class:`Ragged` table with entries of
+    ``lengths``, its entry and its index within that entry."""
+    starts = np.cumsum(lengths) - lengths
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    return rows, np.arange(len(rows)) - starts[rows]
+
+
+def _run_keys(table: Ragged, bits: int, rows: np.ndarray,
+              at: np.ndarray) -> np.ndarray:
+    """One int64 per entry of ``table``, equal for two entries exactly
+    when their items are; ``rows`` and ``at`` are the items'
+    :func:`_positions`.
+
+    An entry of up to ``63 // bits`` items, each in ``0 .. 2 ** bits -
+    2``, is keyed by its items plus one packed into the int64, read
+    from a grid no wider than that whatever the longest entry.  Any
+    other entry (garbage can hold hundreds of VLAN tags) is keyed by its
+    index among the distinct other entries, negated.
     """
+    lengths, items = table
     per = 63 // bits
-    # A run of up to ``per`` values is keyed by them packed into an
-    # int64, from a grid no wider than that whatever the longest run
-    # (entries past ``per`` all land in its last, unread column).
     grid = np.zeros((len(lengths), per + 1), np.int64)
-    grid.ravel()[rows * (per + 1) + np.minimum(at, per)] = values
-    grid = grid[:, :per]
-    keys = grid @ (1 << np.arange(0, per * bits, bits))
-    # A longer run is keyed by its index among the distinct longer
-    # runs, negated (garbage can hold hundreds of VLAN tags).
-    longer: dict = {}
-    deep = np.flatnonzero(lengths > per)
-    if len(deep):
-        ends = np.cumsum(lengths)
-        for run in deep.tolist():
-            run_values = values[ends[run] - lengths[run]:ends[run]].tolist()
-            keys[run] = -1 - longer.setdefault(tuple(run_values), len(longer))
-    first, ids = _first_seen(keys)
-    grid = grid.take(first, axis=0) - 1
-    runs = list(map(getitem, zip(*grid.T.tolist()),
-                    map(slice, (grid >= 0).sum(1).tolist())))
-    longer = list(longer)
-    for i, key in enumerate(keys[first].tolist()):
-        if key < 0:
-            runs[i] = tuple(value - 1 for value in longer[-1 - key])
-    return runs, ids
+    grid.ravel()[rows * (per + 1) + np.minimum(at, per)] = np.add(
+        items, 1, dtype=np.int64)
+    keys = grid[:, :per] @ _SHIFTS[bits]
+    other = lengths > per
+    top = (1 << bits) - 1
+    if len(items) and (items.min() < 0 or items.max() >= top):
+        other[rows[(items < 0) | (items >= top)]] = True
+    other = np.flatnonzero(other)
+    if len(other):
+        ends = np.cumsum(lengths)[other].tolist()
+        longer: dict = {}
+        for entry, end, length in zip(other.tolist(), ends,
+                                      lengths[other].tolist()):
+            values = tuple(items[end - length:end].tolist())
+            keys[entry] = -1 - longer.setdefault(values, len(longer))
+    return keys
+
+
+def _intern_runs(table: Ragged, bits: int, rows: np.ndarray,
+                 at: np.ndarray) -> Tuple[Ragged, np.ndarray]:
+    """The distinct entries of ``table``, first seen first, and each
+    entry's index among them (the order :func:`_intern` gives); see
+    :func:`_run_keys` for the rest."""
+    first, ids = _first_seen(_run_keys(table, bits, rows, at))
+    return table.subset(first), ids
 
 
 def _first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -753,9 +800,9 @@ def digest_pcap(pcap_path: Union[str, Path],
 # holds every value.  Timestamps are the float64s themselves, so an
 # entry decodes to exactly the records that were encoded, bit for bit
 # and with the same types.  This is the AcapColumns layout: decoding
-# reads each array with np.frombuffer and builds the tables with one
-# zip per distinct tuple length, never a per-record or per-tuple
-# Python loop.
+# reads each array with np.frombuffer, keeps the tag table as those
+# arrays and cuts the stacks table from one list of its names, never a
+# per-record Python loop.
 
 _ENTRY_MAGIC = b"\x89acp"
 ENTRY_VERSION = 1
@@ -812,7 +859,7 @@ def _columns_of(records: Sequence[AcapRecord]) -> AcapColumns:
         return np.array(values, dtype=np.int64)
 
     return AcapColumns(
-        strings, stack_table, tag_table,
+        strings, stack_table, Ragged.of(tag_table),
         np.array(timestamps, dtype=np.float64), ints(wire_len),
         ints(captured_len), ints(stack_ids), ints(tag_ids[:n]),
         ints(tag_ids[n:]), ints(ip_version), ints(string_ids[:n]),
@@ -823,11 +870,12 @@ def _columns_of(records: Sequence[AcapRecord]) -> AcapColumns:
 def _records_of(columns: AcapColumns) -> List[AcapRecord]:
     """The records ``columns`` hold, built with C-level ``map``/``zip``."""
     c = columns
+    tags = c.tags.tuples()
     return list(map(_as_record, zip(
         c.timestamp.tolist(), c.wire_len.tolist(), c.captured_len.tolist(),
         map(c.stacks.__getitem__, c.stack.tolist()),
-        map(c.tags.__getitem__, c.vlan_ids.tolist()),
-        map(c.tags.__getitem__, c.mpls_labels.tolist()),
+        map(tags.__getitem__, c.vlan_ids.tolist()),
+        map(tags.__getitem__, c.mpls_labels.tolist()),
         c.ip_version.tolist(),
         map(c.strings.__getitem__, c.src.tolist()),
         map(c.strings.__getitem__, c.dst.tolist()),
@@ -839,33 +887,15 @@ def _lengths(entries: Sequence[Sequence]) -> np.ndarray:
     return np.fromiter(map(len, entries), np.int64, len(entries))
 
 
-def _tuples(lengths: np.ndarray, items: np.ndarray,
-            table: Optional[list] = None) -> list:
+def _cut(lengths: np.ndarray, items: np.ndarray,
+         table: Optional[Sequence] = None) -> list:
     """``items`` cut into consecutive tuples of ``lengths``, each item
-    looked up in ``table`` when one is given.
-
-    Entries of one length are built together, by one ``zip`` over that
-    length's item columns, then put back in entry order.
-    """
-    if not len(lengths):
-        return []
-    starts = np.cumsum(lengths) - lengths
-    built: list = []
-    for size in np.flatnonzero(np.bincount(lengths)).tolist():
-        at = starts[lengths == size]
-        if not size:
-            built += [()] * len(at)
-            continue
-        columns = [items[at + j].tolist() for j in range(size)]
-        if table is not None:
-            columns = [list(map(table.__getitem__, column))
-                       for column in columns]
-        built += zip(*columns)
-    # ``built`` lists the entries by length, then by position: the
-    # stable argsort of the lengths.
-    place = np.empty(len(lengths), np.int64)
-    place[np.argsort(lengths, kind="stable")] = np.arange(len(lengths))
-    return list(map(built.__getitem__, place.tolist()))
+    looked up in ``table`` when one is given: one ``tolist``, one
+    lookup per item and one slice per tuple."""
+    values = items.tolist()
+    values = tuple(values if table is None else map(table.__getitem__, values))
+    ends = list(accumulate(lengths.tolist()))
+    return list(map(values.__getitem__, map(slice, chain((0,), ends), ends)))
 
 
 def _check_ids(ids: np.ndarray, size: int) -> None:
@@ -893,10 +923,10 @@ class _EntryWriter:
         self.parts.append(code.encode())
         self.parts.append(values.astype(code).tobytes())
 
-    def table(self, entries: Sequence[Sequence]) -> None:
+    def table(self, lengths: np.ndarray) -> None:
         """Entry count and lengths; the caller writes the items."""
-        self.u32(len(entries))
-        self.column(_lengths(entries))
+        self.u32(len(lengths))
+        self.column(lengths)
 
 
 class _EntryReader:
@@ -942,13 +972,13 @@ def encode_acap(acap: AcapFile) -> bytes:
     string_ids = dict(zip(c.strings, count()))
     out = _EntryWriter()
     out.blob(acap.source.encode("utf-8", "surrogatepass"))
-    out.table(c.strings)
+    out.table(_lengths(c.strings))
     out.blob("".join(c.strings).encode("utf-8", "surrogatepass"))
-    out.table(c.stacks)
+    out.table(_lengths(c.stacks))
     out.column(np.fromiter(
         map(string_ids.__getitem__, chain.from_iterable(c.stacks)), np.int64))
-    out.table(c.tags)
-    out.column(np.fromiter(chain.from_iterable(c.tags), np.int64))
+    out.table(c.tags.lengths)
+    out.column(c.tags.items)
     out.column(c.timestamp, _FLOAT_CODES)
     ints = c[4:]
     for values, code in zip(ints, _int_codes(ints)):
@@ -997,9 +1027,10 @@ def decode_acap(data: bytes) -> AcapFile:
         lengths = reader.table()
         names = reader.column(int(lengths.sum()))
         _check_ids(names, len(strings))
-        stacks = _tuples(lengths, names, strings)
+        stacks = _cut(lengths, names, strings)
         lengths = reader.table()
-        tags = _tuples(lengths, reader.column(int(lengths.sum())))
+        tags = Ragged(lengths.astype(np.int64),
+                      reader.column(int(lengths.sum())))
         timestamp = reader.column(n, _FLOAT_CODES)
         ints = [reader.column(n) for _ in AcapRecord._fields[1:]]
     except UnicodeDecodeError as exc:
@@ -1008,8 +1039,9 @@ def decode_acap(data: bytes) -> AcapFile:
         raise ValueError(f"acap entry has {len(body) - reader.pos} "
                          f"bytes past its last column")
     columns = AcapColumns(strings, stacks, tags, timestamp, *ints)
-    for ids, table in ((columns.stack, stacks), (columns.vlan_ids, tags),
-                       (columns.mpls_labels, tags), (columns.src, strings),
-                       (columns.dst, strings)):
-        _check_ids(ids, len(table))
+    for ids, size in ((columns.stack, len(stacks)),
+                      (columns.vlan_ids, len(tags.lengths)),
+                      (columns.mpls_labels, len(tags.lengths)),
+                      (columns.src, len(strings)), (columns.dst, len(strings))):
+        _check_ids(ids, size)
     return AcapFile(source, columns=columns)

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.acap import AcapFile, AcapRecord
-from repro.analysis.flows import FlowGroups, FlowKey, FlowStats, group_flows
+from repro.analysis.flows import FlowGroups, group_flows
 from repro.traffic.distributions import FrameSizeBins, JUMBO_THRESHOLD, PAPER_FRAME_BINS
 
 
@@ -185,10 +185,6 @@ class ProfileAccumulator:
             "ipv6": v6 / total,
             "non-ip": (total - v4 - v6) / total,
         }
-
-    def aggregated_flows(self) -> Dict[FlowKey, FlowStats]:
-        """One :class:`FlowStats` per flow, pieced across samples."""
-        return self.flows.stats()
 
 
 def frame_size_distribution(

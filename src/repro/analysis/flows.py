@@ -26,7 +26,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.acap import AcapFile, AcapRecord, _intern, _lengths
+from repro.analysis.acap import (_TAG_BITS, AcapFile, AcapRecord, Ragged,
+                                 _intern, _intern_runs, _positions)
 from repro.packets.headers import TCP_FIN, TCP_RST, TCP_SYN
 
 
@@ -92,20 +93,28 @@ class FlowStats:
 
 @dataclass(frozen=True)
 class FlowGroups:
-    """The flows of a run of samples, in first-seen order.
+    """The flows of a run of samples, in first-seen order, as columns.
 
-    Entry ``i`` of every per-flow field describes flow ``i``: its key
+    Entry ``i`` of every per-flow array describes flow ``i``: its key
     fields, frame and byte sums, first and last timestamp, the OR of
-    its TCP flags and the number of samples it was seen in.
-    ``per_sample`` is each sample's flow count.
+    its TCP flags and the number of samples it was seen in.  Tags and
+    addresses are ids into the shared tables: ``vlan_ids`` into
+    ``tags``, ``mpls_labels`` into ``labels`` (each entry's labels
+    sorted) and both addresses into ``addresses``.  ``per_sample`` is
+    each sample's flow count.  The report reads the columns;
+    :meth:`stats` builds tag tuples and flow objects for callers that
+    want them.
     """
 
-    vlan_ids: List[Tuple[int, ...]]
-    mpls_labels: List[Tuple[int, ...]]
+    tags: Ragged
+    labels: Ragged
+    addresses: List[str]
+    vlan_ids: np.ndarray
+    mpls_labels: np.ndarray
     ip_version: np.ndarray
-    address_a: List[str]
+    address_a: np.ndarray
     port_a: np.ndarray
-    address_b: List[str]
+    address_b: np.ndarray
     port_b: np.ndarray
     proto: np.ndarray
     frames: np.ndarray
@@ -119,17 +128,25 @@ class FlowGroups:
     @classmethod
     def empty(cls, samples: int) -> "FlowGroups":
         ints, floats = np.zeros(0, np.int64), np.zeros(0, np.float64)
-        return cls([], [], ints, [], ints, [], ints, ints, ints, ints,
-                   floats, floats, ints, ints, [0] * samples)
+        table = Ragged(ints, ints)
+        return cls(table, table, [], ints, ints, ints, ints, ints, ints,
+                   ints, ints, ints, ints, floats, floats, ints, ints,
+                   [0] * samples)
 
     def stats(self) -> Dict[FlowKey, FlowStats]:
         """One :class:`FlowKey` and :class:`FlowStats` per flow; a flag
         is seen if any of the flow's frames carried it."""
+        tags, labels = self.tags.tuples(), self.labels.tuples()
+        addresses = self.addresses
         keys = list(map(
-            FlowKey, self.vlan_ids, self.mpls_labels,
+            FlowKey, map(tags.__getitem__, self.vlan_ids.tolist()),
+            map(labels.__getitem__, self.mpls_labels.tolist()),
             self.ip_version.tolist(),
-            zip(self.address_a, self.port_a.tolist()),
-            zip(self.address_b, self.port_b.tolist()), self.proto.tolist()))
+            zip(map(addresses.__getitem__, self.address_a.tolist()),
+                self.port_a.tolist()),
+            zip(map(addresses.__getitem__, self.address_b.tolist()),
+                self.port_b.tolist()),
+            self.proto.tolist()))
         flags = self.tcp_flags
         return dict(zip(keys, map(
             FlowStats, keys, self.frames.tolist(), self.wire_bytes.tolist(),
@@ -180,16 +197,18 @@ def group_flows(acaps: Sequence[AcapFile]) -> FlowGroups:
     # the shared tables' ids.
     strings, string_ids = _intern(list(chain.from_iterable(
         c.strings for _, c, _ in parts)))
-    tags, tag_ids = _intern(list(chain.from_iterable(
-        c.tags for _, c, _ in parts)))
-    string_ids, tag_ids = np.array(string_ids), np.array(tag_ids)
+    tags = Ragged(np.concatenate([c.tags.lengths for _, c, _ in parts]),
+                  np.concatenate([c.tags.items for _, c, _ in parts]))
+    tags, tag_ids = _intern_runs(tags, _TAG_BITS,
+                                 *_positions(tags.lengths))
+    string_ids = np.array(string_ids)
     to_string, to_tag = [], []
     strings_at = tags_at = 0
     for _, c, _ in parts:
         to_string.append(string_ids[strings_at:strings_at + len(c.strings)])
-        to_tag.append(tag_ids[tags_at:tags_at + len(c.tags)])
+        to_tag.append(tag_ids[tags_at:tags_at + len(c.tags.lengths)])
         strings_at += len(c.strings)
-        tags_at += len(c.tags)
+        tags_at += len(c.tags.lengths)
 
     def column(name: str, ids: Optional[List[np.ndarray]] = None,
                dtype: type = np.int64) -> np.ndarray:
@@ -204,13 +223,13 @@ def group_flows(acaps: Sequence[AcapFile]) -> FlowGroups:
     sport, dport = column("sport"), column("dport")
     sample = np.concatenate([np.full(len(ip), i) for i, _, ip in parts])
 
-    # MPLS labels in either stack order are one flow: sort each
-    # multi-label tuple once, then intern the sorted tuples.
-    sorted_tags = list(tags)
-    for i in np.flatnonzero(_lengths(tags) > 1).tolist():
-        sorted_tags[i] = tuple(sorted(tags[i]))
-    labels, label_ids = _intern(sorted_tags)
-    mpls = np.array(label_ids)[mpls]
+    # MPLS labels in either stack order are one flow: sort the items of
+    # each shared tag entry, then intern the sorted entries.
+    rows, within = _positions(tags.lengths)
+    labels, label_ids = _intern_runs(
+        tags._replace(items=tags.items[np.lexsort((tags.items, rows))]),
+        _TAG_BITS, rows, within)
+    mpls = label_ids[mpls]
 
     # Direction: the lower (address, port) side first, comparing
     # addresses by their rank in sorted string order.
@@ -245,12 +264,15 @@ def group_flows(acaps: Sequence[AcapFile]) -> FlowGroups:
     timestamp = column("timestamp", dtype=np.float64)
 
     return FlowGroups(
-        vlan_ids=list(map(tags.__getitem__, vlan[at].tolist())),
-        mpls_labels=list(map(labels.__getitem__, mpls[at].tolist())),
+        tags=tags,
+        labels=labels,
+        addresses=addresses,
+        vlan_ids=vlan[at],
+        mpls_labels=mpls[at],
         ip_version=version[at],
-        address_a=list(map(addresses.__getitem__, address_a[at].tolist())),
+        address_a=address_a[at],
         port_a=port_a[at],
-        address_b=list(map(addresses.__getitem__, address_b[at].tolist())),
+        address_b=address_b[at],
         port_b=port_b[at],
         proto=proto[at],
         frames=np.diff(np.append(starts, len(key)))[order],

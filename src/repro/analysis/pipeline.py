@@ -38,6 +38,7 @@ import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -46,7 +47,7 @@ from repro.analysis.acap import (AcapFile, decode_acap, digest_pcap,
                                  encode_acap)
 from repro.analysis.analyze import ProfileAccumulator
 from repro.analysis.cache import AcapCache
-from repro.analysis.flows import FlowKey, FlowStats
+from repro.analysis.flows import FlowGroups, FlowKey, FlowStats
 from repro.analysis.index import AcapIndex
 from repro.analysis.report import profile_tables
 from repro.obs import get_obs
@@ -195,7 +196,12 @@ class PipelineStats:
 
 @dataclass
 class ProfileReport:
-    """Everything the Process step produced for one profile."""
+    """Everything the Process step produced for one profile.
+
+    ``flows`` holds the profile's flows as :class:`FlowGroups` columns,
+    which the tables were built from; :attr:`aggregated_flows` builds
+    one :class:`FlowKey` and :class:`FlowStats` per flow on first read.
+    """
 
     tables: Dict[str, Table] = field(default_factory=dict)
     total_frames: int = 0
@@ -203,11 +209,17 @@ class ProfileReport:
     ipv6_fraction: float = 0.0
     jumbo_fraction: float = 0.0
     flows_per_sample: List[int] = field(default_factory=list)
-    aggregated_flows: Dict[FlowKey, FlowStats] = field(default_factory=dict)
+    flows: Optional[FlowGroups] = None
     stats: Optional[PipelineStats] = None
     # Congestion-detector quality for the profile that produced these
     # pcaps (attached by the CLI/driver from the coordinator's bundle).
     scorecard: Optional[CongestionScorecard] = None
+
+    @cached_property
+    def aggregated_flows(self) -> Dict[FlowKey, FlowStats]:
+        """One :class:`FlowStats` per flow, pieced across samples, in
+        first-seen order; built once, on first read."""
+        return self.flows.stats() if self.flows is not None else {}
 
     def write_csvs(self, out_dir: Union[str, Path]) -> List[Path]:
         out_dir = Path(out_dir)
@@ -410,15 +422,14 @@ class AnalysisPipeline:
         profile = ProfileAccumulator()
         for acap in self.acaps:
             profile.add(acap, Path(acap.source).parent.name or "unknown")
-        aggregated = profile.aggregated_flows()
         return ProfileReport(
-            tables=profile_tables(profile, aggregated),
+            tables=profile_tables(profile),
             total_frames=profile.frames,
             sites=profile.sites(),
             ipv6_fraction=profile.ip_version_shares()["ipv6"],
             jumbo_fraction=profile.jumbo_fraction(),
             flows_per_sample=profile.flows_per_sample,
-            aggregated_flows=aggregated,
+            flows=profile.flows,
         )
 
     def run(self, pcap_paths: Sequence[Union[str, Path]],

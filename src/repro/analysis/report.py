@@ -9,8 +9,9 @@ scripts to produce graphs or summary statistics."
 Each function here turns one analysis into a :class:`~repro.util.tables.Table`
 that can be rendered or written as CSV; the benchmark harnesses print
 these tables as the paper-figure reproductions.  :func:`profile_tables`
-builds them all from one :class:`~repro.analysis.analyze.ProfileAccumulator`;
-the record-level builders run the same accumulator over their records.
+builds them all from one :class:`~repro.analysis.analyze.ProfileAccumulator`,
+the flow tables from its flows' columns; the record-level builders run
+the same accumulator over their records.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import numpy as np
 from repro.analysis.acap import AcapRecord
 from repro.analysis.analyze import ProfileAccumulator
 from repro.analysis.flows import FlowKey, FlowStats
+from repro.packets.headers import TCP_FIN, TCP_RST, TCP_SYN
 from repro.traffic.distributions import PAPER_FRAME_BINS
 from repro.util.tables import Table
 
 
-def profile_tables(profile: ProfileAccumulator,
-                   flows: Mapping[FlowKey, FlowStats]) -> Dict[str, Table]:
-    """Every table of the report, keyed by CSV name, from one profile
-    and its aggregated flows."""
+def profile_tables(profile: ProfileAccumulator) -> Dict[str, Table]:
+    """Every table of the report, keyed by CSV name, from one profile;
+    the flow tables read its flows' columns."""
+    flows = profile.flows
     return {
         "frame_sizes_by_site": _frame_size_table(profile),
         "frame_sizes_overall": _overall_frame_size_table(profile),
@@ -37,8 +39,10 @@ def profile_tables(profile: ProfileAccumulator,
         "header_diversity": _header_diversity_table(profile),
         "ip_versions": _ip_version_table(profile),
         "flows_per_sample": flows_per_sample_table(profile.flows_per_sample),
-        "aggregated_flow_sizes": aggregated_flow_size_table(flows),
-        "tcp_flags": tcp_flag_table(flows),
+        "aggregated_flow_sizes": _flow_size_table(flows.wire_bytes),
+        "tcp_flags": _tcp_flag_table(len(flows.frames), [
+            int(np.count_nonzero(flows.tcp_flags & flag))
+            for flag in (TCP_SYN, TCP_FIN, TCP_RST)]),
     }
 
 
@@ -137,8 +141,20 @@ def aggregated_flow_size_table(flows: Mapping[FlowKey, FlowStats],
     Buckets aggregated flow sizes by decade of bytes: most flows are
     tiny, a few are enormous.
     """
+    return _flow_size_table(
+        np.array([stats.wire_bytes for stats in flows.values()]), decade_max)
+
+
+def tcp_flag_table(flows: Mapping[FlowKey, FlowStats]) -> Table:
+    """Control-information summary: SYN/FIN/RST presence across flows."""
+    return _tcp_flag_table(len(flows), [
+        sum(1 for f in flows.values() if f.syn_seen),
+        sum(1 for f in flows.values() if f.fin_seen),
+        sum(1 for f in flows.values() if f.rst_seen)])
+
+
+def _flow_size_table(sizes: np.ndarray, decade_max: int = 12) -> Table:
     table = Table(["size_decade_bytes", "flows"], title="Aggregated flow sizes")
-    sizes = np.array([stats.wire_bytes for stats in flows.values()])
     for decade in range(decade_max):
         lo, hi = 10 ** decade, 10 ** (decade + 1)
         count = int(np.count_nonzero((sizes >= lo) & (sizes < hi)))
@@ -146,14 +162,10 @@ def aggregated_flow_size_table(flows: Mapping[FlowKey, FlowStats],
     return table
 
 
-def tcp_flag_table(flows: Mapping[FlowKey, FlowStats]) -> Table:
-    """Control-information summary: SYN/FIN/RST presence across flows."""
+def _tcp_flag_table(flows: int, present: Sequence[int]) -> Table:
+    """``present`` counts the flows that saw SYN, FIN and RST."""
     table = Table(["flag", "flows", "fraction"], title="TCP control flags seen")
-    total = max(1, len(flows))
-    for flag, present in (
-        ("syn", sum(1 for f in flows.values() if f.syn_seen)),
-        ("fin", sum(1 for f in flows.values() if f.fin_seen)),
-        ("rst", sum(1 for f in flows.values() if f.rst_seen)),
-    ):
-        table.add_row([flag, present, round(present / total, 5)])
+    total = max(1, flows)
+    for flag, count in zip(("syn", "fin", "rst"), present):
+        table.add_row([flag, count, round(count / total, 5)])
     return table

@@ -227,8 +227,8 @@ class TestBinaryEntries:
         acap = digest_pcap(pcap)
         ids = getattr(acap.columns, column).copy()
         ids[-1] = {"stack": len(acap.columns.stacks),
-                   "vlan_ids": len(acap.columns.tags),
-                   "mpls_labels": len(acap.columns.tags),
+                   "vlan_ids": len(acap.columns.tags.lengths),
+                   "mpls_labels": len(acap.columns.tags.lengths),
                    "src": len(acap.columns.strings),
                    "dst": len(acap.columns.strings)}[column]
         data = encode_acap(AcapFile(

@@ -1,15 +1,24 @@
 """Tests for flow classification and cross-sample aggregation."""
 
+import io
+
 import pytest
 
-from repro.analysis.acap import AcapRecord
+from repro.analysis.acap import AcapFile, AcapRecord, decode_acap, digest_pcap, encode_acap
 from repro.analysis.flows import (
     FlowKey,
+    FlowStats,
     aggregate_flows,
     classify_flows,
     flows_per_sample_counts,
+    group_flows,
 )
-from repro.packets.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
+from repro.packets.builder import FrameBuilder, FrameSpec
+from repro.packets.headers import (
+    DNSHeader, Ethernet, IPv4, MPLS, TCP, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN,
+    UDP, VLAN,
+)
+from repro.packets.pcap import PcapRecord, PcapWriter
 
 
 def record(src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=443,
@@ -140,3 +149,130 @@ class TestWideKeys:
         assert list(flows) == list(expected)
         assert {key: stats.frames for key, stats in flows.items()} == expected
         assert max(expected.values()) == 2
+
+
+def flows_by_record_key(samples):
+    """Each sample's IP records aggregated under
+    :meth:`FlowKey.from_record`, flows in first-seen order."""
+    flows = {}
+    for records in samples:
+        seen = set()
+        for r in records:
+            if r.ip_version not in (4, 6):
+                continue
+            key = FlowKey.from_record(r)
+            stats = flows.get(key)
+            if stats is None:
+                stats = flows[key] = FlowStats(key, samples=0)
+            stats.frames += 1
+            stats.wire_bytes += r.wire_len
+            stats.first_seen = min(stats.first_seen, r.timestamp)
+            stats.last_seen = max(stats.last_seen, r.timestamp)
+            stats.syn_seen |= bool(r.tcp_flags & TCP_SYN)
+            stats.fin_seen |= bool(r.tcp_flags & TCP_FIN)
+            stats.rst_seen |= bool(r.tcp_flags & TCP_RST)
+            if key not in seen:
+                seen.add(key)
+                stats.samples += 1
+    return flows
+
+
+def assert_groups_match_records(acaps):
+    """``group_flows`` over ``acaps`` gives the record-key aggregation
+    of their records, in the same order."""
+    expected = flows_by_record_key([acap.records for acap in acaps])
+    groups = group_flows(acaps)
+    flows = groups.stats()
+    assert list(flows) == list(expected)
+    assert flows == expected
+    assert groups.per_sample == [
+        len(flows_by_record_key([acap.records])) for acap in acaps]
+    return flows
+
+
+class TestRaggedTags:
+    """Tag tables stay ragged arrays from Digest to ``group_flows``;
+    flows over them must key exactly as :meth:`FlowKey.from_record`."""
+
+    ETH = Ethernet("02:00:00:00:00:01", "02:00:00:00:00:02")
+
+    def frame(self, tags, src="10.0.0.1", dst="10.0.0.2", sport=1000,
+              dport=443, flags=TCP_ACK):
+        return FrameBuilder().build(FrameSpec(
+            [self.ETH] + tags + [IPv4(src, dst), TCP(sport, dport, flags=flags)]))
+
+    @staticmethod
+    def pcap(frames, start=0.0):
+        buf = io.BytesIO()
+        with PcapWriter(buf, snaplen=65535) as writer:
+            for i, data in enumerate(frames):
+                writer.write(PcapRecord(start + i * 0.001, data,
+                                        orig_len=len(data)))
+        return buf.getvalue()
+
+    def corpus(self):
+        """Three pcaps' bytes: deep VLAN chains (2,000 tags, and 5),
+        QinQ, and two-label MPLS stacks in both orders and both
+        directions, recurring across the pcaps."""
+        deep = FrameBuilder().build(FrameSpec(
+            [self.ETH] + [VLAN(vid % 4096) for vid in range(2000)]
+            + [IPv4("10.0.0.1", "10.0.0.2"), UDP(5000, 53), DNSHeader()]))
+        five = [VLAN(vid) for vid in (7, 8, 9, 10, 11)]
+        qinq = [VLAN(100), VLAN(200)]
+        labels = [MPLS(16000), MPLS(17000)]
+        back = dict(src="10.0.0.2", dst="10.0.0.1", sport=443, dport=1000)
+        first = [deep, self.frame(five, flags=TCP_SYN), self.frame(qinq),
+                 self.frame([VLAN(5)] + labels),
+                 self.frame([VLAN(5)] + labels[::-1], **back)]
+        second = [self.frame(qinq[::-1]), self.frame([VLAN(5)] + labels[::-1]),
+                  self.frame(five, **back, flags=TCP_FIN), deep,
+                  self.frame([VLAN(5)] + labels[:1] * 4)]
+        third = [self.frame(labels, sport=7), self.frame(five[:3]),
+                 self.frame(five[::-1], flags=TCP_RST), self.frame(qinq, **back)]
+        return [self.pcap(first), self.pcap(second, 10.0),
+                self.pcap(third, 20.0)]
+
+    def test_walk_records_and_decoded_acaps_group_together(self):
+        datas = self.corpus()
+        walked = [digest_pcap(f"S{i}/x.pcap", data=data)
+                  for i, data in enumerate(datas)]
+        mixed = [walked[0],
+                 AcapFile("S1/x.pcap", list(walked[1].records)),
+                 decode_acap(encode_acap(walked[2]))]
+        for acaps in (walked, mixed, mixed[::-1]):
+            flows = assert_groups_match_records(acaps)
+        vlans = {key.vlan_ids for key in flows}
+        assert tuple(range(2000)) in vlans
+        assert {(7, 8, 9, 10, 11), (11, 10, 9, 8, 7), (100, 200),
+                (200, 100)} <= vlans
+        # Either label order, either direction, across pcaps: one flow.
+        [both] = [stats for key, stats in flows.items()
+                  if key.mpls_labels == (16000, 17000)
+                  and key.endpoint_a == ("10.0.0.1", 1000)]
+        assert (both.frames, both.samples) == (3, 2)
+
+    def test_deep_rows_key_by_their_whole_tuple(self):
+        """Rows past three tags are keyed through the dict fallback:
+        equal deep rows in different pcaps are one flow, and a deep row
+        never meets a short row whose first tags it shares."""
+        deep = [VLAN(vid) for vid in range(1, 9)]
+        datas = [self.pcap([self.frame(deep), self.frame(deep[:3])]),
+                 self.pcap([self.frame(deep[:4]), self.frame(deep)], 5.0)]
+        acaps = [decode_acap(encode_acap(digest_pcap(f"S{i}/x.pcap", data=d)))
+                 for i, d in enumerate(datas)]
+        flows = assert_groups_match_records(acaps)
+        assert sorted((len(key.vlan_ids), stats.samples)
+                      for key, stats in flows.items()) == [(3, 1), (4, 1), (8, 2)]
+
+    def test_tags_outside_the_packed_range(self):
+        """Record-built tables may hold tags no dissector emits
+        (negative, or too wide for 21 bits); they still key by value."""
+        records = [record(vlans=(-1,), mpls=()), record(vlans=(), mpls=()),
+                   record(vlans=(1 << 21,), mpls=(0,)),
+                   record(vlans=((1 << 21) - 1,), mpls=(0,)),
+                   record(vlans=(0,), mpls=(1 << 40, 3)),
+                   record(vlans=(0,), mpls=(3, 1 << 40))]
+        acaps = [AcapFile("a", records[:3]),
+                 decode_acap(encode_acap(AcapFile("b", records[2:])))]
+        flows = assert_groups_match_records(acaps)
+        assert len(flows) == 5

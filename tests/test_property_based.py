@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.acap import AcapFile, AcapRecord, decode_acap, encode_acap
+from repro.analysis.acap import (
+    _TAG_BITS, AcapFile, AcapRecord, Ragged, _intern, _intern_runs,
+    _positions, decode_acap, encode_acap,
+)
 from repro.analysis.anonymize import Anonymizer
 from repro.analysis.dissect import Dissector
 from repro.netsim.engine import Simulator
@@ -17,6 +20,7 @@ from repro.packets.headers import Ethernet, IPv4, MPLS, Payload, TCP, VLAN
 from repro.packets.pcap import PcapReader, PcapRecord, PcapWriter
 from repro.testbed.resources import ResourceCapacity
 from repro.traffic.distributions import PAPER_FRAME_BINS
+from tests.test_analysis_flows import assert_groups_match_records
 
 E1, E2 = "02:00:00:00:00:01", "02:00:00:00:00:02"
 
@@ -157,6 +161,62 @@ class TestAcapProperties:
         for got, want in zip(loaded.records, records):
             assert [type(v) for v in got] == [type(v) for v in want]
             assert got.timestamp.hex() == want.timestamp.hex()
+
+    #: Tag tuples of any depth: short and deep rows, repeats, and
+    #: values outside the 21 bits a packed key holds.
+    tag_values = st.one_of(st.integers(0, 7), st.integers(0, 2**20 - 1),
+                           st.sampled_from([-1, 2**21 - 2, 2**21 - 1, 2**40]))
+    tag_tuples = st.lists(tag_values, max_size=7).map(tuple)
+
+    @given(st.lists(st.one_of(tag_tuples, st.sampled_from(
+        [(), (5,), (5, 6), (6, 5), (1, 2, 3), (1, 2, 3, 4)])), max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_ragged_table_interns_like_tuples(self, entries):
+        """A ragged tag table holds its tuples, and interning its rows
+        by packed keys gives the tuple interning's table and ids."""
+        table = Ragged.of(entries)
+        assert table.tuples() == entries
+        distinct, ids = _intern_runs(table, _TAG_BITS,
+                                     *_positions(table.lengths))
+        want_table, want_ids = _intern(entries)
+        assert distinct.tuples() == want_table
+        assert ids.tolist() == want_ids
+
+    tagged = st.builds(
+        AcapRecord,
+        timestamp=st.floats(0, 1e6),
+        wire_len=st.integers(60, 9000),
+        captured_len=st.just(60),
+        stack=st.just(("eth", "ipv4", "tcp")),
+        vlan_ids=st.one_of(st.sampled_from([(), (7,), (7, 8), (8, 7)]),
+                           st.lists(st.integers(0, 4095), max_size=6).map(tuple)),
+        mpls_labels=st.one_of(
+            st.sampled_from([(), (16,), (16, 17), (17, 16), (1, 2, 3, 4)]),
+            tag_tuples),
+        ip_version=st.sampled_from([0, 4, 4, 6]),
+        src=st.sampled_from(["10.0.0.1", "10.0.0.2", "::1"]),
+        dst=st.sampled_from(["10.0.0.1", "10.0.0.2", "::1"]),
+        proto=st.sampled_from([6, 17]),
+        sport=st.sampled_from([80, 443]),
+        dport=st.sampled_from([80, 443]),
+        tcp_flags=st.integers(0, 63),
+    )
+
+    @given(st.lists(st.tuples(st.lists(tagged, max_size=12), st.booleans()),
+                    max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_group_flows_over_ragged_tags(self, samples):
+        """Samples built from records and decoded from entries, grouped
+        together, give the :meth:`FlowKey.from_record` flows; and an
+        entry decodes to the records encoded."""
+        acaps = []
+        for i, (records, decoded) in enumerate(samples):
+            acap = AcapFile(f"s{i}", records)
+            if decoded:
+                acap = decode_acap(encode_acap(acap))
+                assert acap.records == records
+            acaps.append(acap)
+        assert_groups_match_records(acaps)
 
 
 class TestResourceProperties:
